@@ -51,16 +51,8 @@ def _fail(category: str, detail: str, code: int) -> int:
 
 
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    overrides = {}
-    if args.ts is not None:
-        overrides["T_s"] = args.ts
-    if args.t_filter is not None:
-        overrides["T"] = args.t_filter
-    if args.ka is not None:
-        overrides["K_a"] = args.ka
-    if args.decimate is not None:
-        overrides["decimate"] = args.decimate
-    return cfg.with_overrides(**overrides) if overrides else cfg
+    overrides = {"T_s": args.ts, "T": args.t_filter, "K_a": args.ka, "decimate": args.decimate}
+    return cfg.with_overrides(**{k: v for k, v in overrides.items() if v is not None})
 
 
 def _warn_condition(cfg: ScenarioConfig):
@@ -107,11 +99,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_suite(args) -> int:
     suite = suite_from_ini(args.manifest)
-    if any((args.ts, args.t_filter, args.ka, args.decimate)):
-        suite = type(suite)(
-            name=suite.name,
-            scenarios=tuple(_apply_overrides(s, args) for s in suite.scenarios),
-        )
+    suite = type(suite)(
+        name=suite.name,
+        scenarios=tuple(_apply_overrides(s, args) for s in suite.scenarios),
+    )
     if args.check_condition:
         for scen in suite.scenarios:
             _warn_condition(scen)

@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.signal import cont2discrete
+from scipy.linalg import expm, solve
 
 from .nominal import NominalModel, RrcGains
 from .params import PlantParams, PlantState
@@ -258,7 +257,11 @@ def discretize_filter_bank(model: NominalModel, cfg: L1Config):
     poles are verified to lie strictly inside the unit circle.
     """
     A, B, C, D = build_filter_bank(model, cfg)
-    Ad, Bd, Cd, Dd, _ = cont2discrete((A, B, C, D), cfg.T_s, method="bilinear")
+    ima = np.eye(A.shape[0]) - 0.5 * cfg.T_s * A
+    Ad = solve(ima, np.eye(A.shape[0]) + 0.5 * cfg.T_s * A)
+    Bd = solve(ima, cfg.T_s * B)
+    Cd = solve(ima.T, C.T).T
+    Dd = D + 0.5 * (C @ Bd)
     zpoles = np.linalg.eigvals(Ad)
     if np.max(np.abs(zpoles)) >= 1.0:
         raise ValueError("discretized command filter has poles on or outside the unit circle")

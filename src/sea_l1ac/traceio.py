@@ -16,9 +16,7 @@ from .harness import TRACE_COLUMNS, RunTrace
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 

@@ -195,6 +195,45 @@ def test_l1_norm_rejects_short_horizon():
         l1_norm(StateSpace.make([[-1.0]], [1.0], [1.0]), horizon=2.0)
 
 
+def _sequential_l1_norm(system):
+    """The impulse-response quadrature marched one step per iteration."""
+    eig = np.linalg.eigvals(system.A)
+    tau_slow = -1.0 / float(np.max(eig.real))
+    dt = -1.0 / float(np.min(eig.real)) / 100.0
+    steps = int(math.ceil(20.0 * tau_slow / dt))
+    Ed = matrix_exponential(system.A, dt)
+    X = system.B.copy()
+    acc = np.zeros((system.C.shape[0], system.B.shape[1]))
+    g_prev = np.abs(system.C @ X)
+    for _ in range(steps):
+        X = Ed @ X
+        g = np.abs(system.C @ X)
+        acc += (0.5 * dt) * (g_prev + g)
+        g_prev = g
+    entrywise = acc + np.abs(system.D)
+    tail = float(np.max(np.sum(g_prev * tau_slow, axis=1)))
+    return steps, float(np.max(np.sum(entrywise, axis=1))), tail, entrywise
+
+
+@pytest.mark.parametrize("piece", ["lag", "G1", "G2"])
+def test_l1_norm_block_march_matches_sequential_march(model, piece):
+    if piece == "lag":
+        system = StateSpace.make([[-3.0]], [1.0], [1.0], [[0.25]])
+    else:
+        g1, g2, _ = reference_loop_pieces(model, L1Config())
+        system = g1 if piece == "G1" else g2
+    steps, value, tail, entrywise = _sequential_l1_norm(system)
+    # the cases cover one partial block and several blocks plus a remainder
+    block = 2**20 // system.A.nbytes
+    assert steps < block if piece == "lag" else steps > block and steps % block
+    res = l1_norm(system)
+    assert res.value == pytest.approx(value, rel=1e-12)
+    assert res.tail_bound == pytest.approx(tail, rel=1e-12)
+    np.testing.assert_allclose(res.entrywise, entrywise, rtol=1e-12, atol=0.0)
+    if piece == "G2":
+        assert res.entrywise.shape[1] > 1
+
+
 def test_reference_loop_pieces_are_strictly_stable(model):
     for piece in reference_loop_pieces(model, L1Config()):
         assert np.max(np.linalg.eigvals(piece.A).real) < 0.0

@@ -15,7 +15,11 @@ from sea_l1ac import (
     gravity_torque,
     rrc_control,
 )
-from sea_l1ac.controllers import build_filter_bank, shaping_filter_polynomials
+from sea_l1ac.controllers import (
+    build_filter_bank,
+    discretize_filter_bank,
+    shaping_filter_polynomials,
+)
 from sea_l1ac.nominal import NominalModel
 from sea_l1ac.params import PlantState
 
@@ -190,6 +194,17 @@ def test_realized_filter_matches_analytic_frequency_response(model):
     realized = (C @ np.linalg.solve(s * np.eye(A.shape[0]) - A, B[:, 0]))[0]
     analytic = np.polyval(num, s) / np.polyval(den, s)
     assert abs(realized - analytic) / abs(analytic) < 1e-6
+
+
+@pytest.mark.parametrize("T", [0.005, 0.01, 0.02])
+@pytest.mark.parametrize("T_s", [1e-4, 1e-3, 2e-3])
+def test_tustin_step_is_bit_identical_to_scipy_bilinear(model, T, T_s):
+    from scipy.signal import cont2discrete
+
+    cfg = L1Config(T_s=T_s, T=T)
+    expected = cont2discrete(build_filter_bank(model, cfg), T_s, method="bilinear")[:4]
+    for got, want in zip(discretize_filter_bank(model, cfg), expected):
+        assert np.array_equal(got, want)
 
 
 def test_discrete_filter_poles_inside_unit_circle(controller):

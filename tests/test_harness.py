@@ -1,9 +1,12 @@
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sea_l1ac
 from sea_l1ac import (
     ConfigError,
     RunTrace,
@@ -336,16 +339,38 @@ def test_cli_run_with_overrides(tmp_path):
     assert np.allclose(np.diff(trace["t_s"]), 0.01, atol=1e-12)
 
 
-def test_cli_suite(tmp_path):
+def _write_suite(tmp_path):
     (tmp_path / "one.ini").write_text(SCENARIO_INI.replace("cli_smoke", "one"))
     (tmp_path / "two.ini").write_text(
         SCENARIO_INI.replace("cli_smoke", "two").replace("l1ac", "rrc"))
     manifest = tmp_path / "suite.ini"
     manifest.write_text(SUITE_INI)
+    return manifest
+
+
+def test_cli_suite(tmp_path):
+    manifest = _write_suite(tmp_path)
     out = tmp_path / "res"
     assert main(["suite", str(manifest), "--out-dir", str(out)]) == 0
     assert (out / "cli_suite_summary.csv").exists()
     assert (out / "one.csv").exists() and (out / "two.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--decimate", "--ts"])
+def test_cli_suite_rejects_zero_override(tmp_path, capsys, flag):
+    manifest = _write_suite(tmp_path)
+    out = tmp_path / "res"
+    assert main(["suite", str(manifest), "--out-dir", str(out), flag, "0"]) == 2
+    assert '"error": "config"' in capsys.readouterr().err
+    assert not (out / "one.csv").exists()
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    src = str(Path(sea_l1ac.__file__).resolve().parents[1])
+    code = "import sys, sea_l1ac.cli; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, cwd=src)
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -382,6 +407,18 @@ def test_cli_analyze(tmp_path, capsys):
     assert (out / "condition.csv").exists()
     assert ",1," in (out / "condition.csv").read_text().splitlines()[1] or \
         (out / "condition.csv").read_text().splitlines()[1].split(",")[3] == "1"
+
+
+def test_cli_rootlocus_cells_are_plain_numbers(tmp_path):
+    cfgfile = tmp_path / "an.ini"
+    cfgfile.write_text("[rootlocus]\nlambda_min = 1.0\nlambda_max = 1e6\npoints = 12\n")
+    out = tmp_path / "an"
+    assert main(["analyze", "rootlocus", str(cfgfile), "--out-dir", str(out)]) == 0
+    header, *rows = (out / "rootlocus.csv").read_text().splitlines()
+    assert rows and header.startswith("lambda,")
+    for row in rows:
+        for cell in row.split(","):
+            float(cell)
 
 
 def test_cli_condition_warning_for_bad_filter(tmp_path, capsys):
