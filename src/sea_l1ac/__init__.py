@@ -26,7 +26,6 @@ from .controllers import (
     L1Controller,
     ReferenceSystem,
     RrcController,
-    dob_update,
     ideal_motor_side_compensation,
     rrc_control,
 )

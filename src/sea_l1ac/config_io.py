@@ -16,67 +16,86 @@ from .params import PlantParams, benchmark_params
 _PLANT_KEYS = ("J_m", "J_a", "K_f", "G_0", "m_0", "K_t", "f_m")
 
 
-def _parser(path: Path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-    return parser
+class _Ini:
+    """A parsed INI file that remembers which keys its loader asked for.
+
+    ``check_unknown`` then rejects any other key in a section the loader
+    read, so a misspelt key fails instead of silently keeping its default.
+    Sections the loader never reads are left alone: one file may hold the
+    jobs of several loaders.
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        if not self.parser.read(path):
+            raise ConfigError(f"config file not found: {path}")
+        self.asked: dict[str, set] = {}
+
+    def get(self, section, key, conv, default):
+        self.asked.setdefault(section, set()).add(self.parser.optionxform(key))
+        parser = self.parser
+        if not parser.has_section(section) or not parser.has_option(section, key):
+            return default
+        raw = parser.get(section, key).strip()
+        if raw == "":
+            return default
+        try:
+            if conv is bool:
+                return parser.getboolean(section, key)
+            return conv(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+
+    def check_unknown(self):
+        defaults = self.parser.defaults()
+        for section, known in self.asked.items():
+            if not self.parser.has_section(section):
+                continue
+            for key in self.parser.options(section):
+                if key not in known and key not in defaults:
+                    raise ConfigError(f"{self.path}: unknown key {key!r} in [{section}]")
 
 
-def _get(parser, section, key, conv, default):
-    if not parser.has_section(section) or not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key).strip()
-    if raw == "":
-        return default
-    try:
-        if conv is bool:
-            return parser.getboolean(section, key)
-        return conv(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
-
-
-def _plant_overrides(parser) -> PlantParams | None:
-    if not parser.has_section("plant"):
-        return None
-    present = [k for k in _PLANT_KEYS if parser.has_option("plant", k)]
-    if not present:
-        return None
+def _plant_overrides(ini: _Ini) -> PlantParams | None:
     base = benchmark_params()
-    values = {k: _get(parser, "plant", k, float, getattr(base, k)) for k in _PLANT_KEYS}
-    return PlantParams(m=base.m, **values)
+    values = {k: ini.get("plant", k, float, None) for k in _PLANT_KEYS}
+    if all(v is None for v in values.values()):
+        return None
+    return PlantParams(m=base.m, **{
+        k: getattr(base, k) if v is None else v for k, v in values.items()})
 
 
 def scenario_from_ini(path) -> ScenarioConfig:
     """Load one scenario definition from an INI file."""
     path = Path(path)
-    parser = _parser(path)
-    if not parser.has_section("scenario"):
+    ini = _Ini(path)
+    if not ini.parser.has_section("scenario"):
         raise ConfigError(f"{path}: missing [scenario] section")
     try:
-        return ScenarioConfig(
-            name=_get(parser, "scenario", "name", str, path.stem),
-            controller=_get(parser, "scenario", "controller", str, "l1ac"),
-            duration=_get(parser, "scenario", "duration", float, 3.0),
-            mass=_get(parser, "scenario", "mass", float, 1.5),
-            gravity_on=_get(parser, "scenario", "gravity", bool, True),
-            q_d_amplitude=_get(parser, "target", "amplitude", float, math.pi / 2),
-            q_d_start=_get(parser, "target", "start", float, 0.0),
-            contact_stiffness=_get(parser, "environment", "contact_stiffness", float, 0.0),
-            contact_position=_get(parser, "environment", "contact_position", float, 0.0),
-            bilateral_contact=_get(parser, "environment", "bilateral", bool, False),
-            T_s=_get(parser, "tuning", "sample_period", float, 1e-3),
-            T=_get(parser, "tuning", "filter_time_constant", float, 0.01),
-            K_a=_get(parser, "tuning", "filter_gain", float, 10.0),
-            g_ob=_get(parser, "tuning", "observer_bandwidth", float, 500.0),
-            substeps=_get(parser, "tuning", "substeps", int, 1),
-            torque_limit=_get(parser, "limits", "torque", float, None),
-            ideal_dob=_get(parser, "simulation", "ideal_dob", bool, False),
-            decimate=_get(parser, "simulation", "decimate", int, 1),
-            params=_plant_overrides(parser),
+        fields = dict(
+            name=ini.get("scenario", "name", str, path.stem),
+            controller=ini.get("scenario", "controller", str, "l1ac"),
+            duration=ini.get("scenario", "duration", float, 3.0),
+            mass=ini.get("scenario", "mass", float, 1.5),
+            gravity_on=ini.get("scenario", "gravity", bool, True),
+            q_d_amplitude=ini.get("target", "amplitude", float, math.pi / 2),
+            q_d_start=ini.get("target", "start", float, 0.0),
+            contact_stiffness=ini.get("environment", "contact_stiffness", float, 0.0),
+            contact_position=ini.get("environment", "contact_position", float, 0.0),
+            bilateral_contact=ini.get("environment", "bilateral", bool, False),
+            T_s=ini.get("tuning", "sample_period", float, 1e-3),
+            T=ini.get("tuning", "filter_time_constant", float, 0.01),
+            K_a=ini.get("tuning", "filter_gain", float, 10.0),
+            g_ob=ini.get("tuning", "observer_bandwidth", float, 500.0),
+            substeps=ini.get("tuning", "substeps", int, 1),
+            torque_limit=ini.get("limits", "torque", float, None),
+            ideal_dob=ini.get("simulation", "ideal_dob", bool, False),
+            decimate=ini.get("simulation", "decimate", int, 1),
+            params=_plant_overrides(ini),
         )
+        ini.check_unknown()
+        return ScenarioConfig(**fields)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -86,11 +105,12 @@ def scenario_from_ini(path) -> ScenarioConfig:
 def suite_from_ini(path) -> SuiteConfig:
     """Load a suite manifest: a [suite] section listing scenario files."""
     path = Path(path)
-    parser = _parser(path)
-    if not parser.has_section("suite"):
+    ini = _Ini(path)
+    if not ini.parser.has_section("suite"):
         raise ConfigError(f"{path}: missing [suite] section")
-    name = _get(parser, "suite", "name", str, path.stem)
-    raw = _get(parser, "suite", "scenarios", str, "")
+    name = ini.get("suite", "name", str, path.stem)
+    raw = ini.get("suite", "scenarios", str, "")
+    ini.check_unknown()
     entries = [tok.strip() for tok in raw.replace(",", "\n").splitlines() if tok.strip()]
     scenarios = tuple(scenario_from_ini(path.parent / entry) for entry in entries)
     return SuiteConfig(name=name, scenarios=scenarios)
@@ -103,17 +123,18 @@ def _float_list(raw: str) -> list[float]:
 def rootlocus_job_from_ini(path) -> dict:
     """Grid description for the contact-stiffness root locus."""
     path = Path(path)
-    parser = _parser(path)
-    if not parser.has_section("rootlocus"):
+    ini = _Ini(path)
+    if not ini.parser.has_section("rootlocus"):
         raise ConfigError(f"{path}: missing [rootlocus] section")
     job = {
-        "lambda_min": _get(parser, "rootlocus", "lambda_min", float, 1e-2),
-        "lambda_max": _get(parser, "rootlocus", "lambda_max", float, 1e4),
-        "points": _get(parser, "rootlocus", "points", int, 61),
-        "log_scale": _get(parser, "rootlocus", "log_scale", bool, True),
-        "include_zero": _get(parser, "rootlocus", "include_zero", bool, True),
-        "params": _plant_overrides(parser) or benchmark_params(),
+        "lambda_min": ini.get("rootlocus", "lambda_min", float, 1e-2),
+        "lambda_max": ini.get("rootlocus", "lambda_max", float, 1e4),
+        "points": ini.get("rootlocus", "points", int, 61),
+        "log_scale": ini.get("rootlocus", "log_scale", bool, True),
+        "include_zero": ini.get("rootlocus", "include_zero", bool, True),
+        "params": _plant_overrides(ini) or benchmark_params(),
     }
+    ini.check_unknown()
     if job["lambda_min"] <= 0.0 and job["log_scale"]:
         raise ConfigError("lambda_min must be positive on a log grid")
     if job["lambda_max"] < job["lambda_min"] or job["points"] < 1:
@@ -124,19 +145,21 @@ def rootlocus_job_from_ini(path) -> dict:
 def condition_job_from_ini(path) -> dict:
     """Filter design-condition check over a list of time constants."""
     path = Path(path)
-    parser = _parser(path)
-    if not parser.has_section("condition"):
+    ini = _Ini(path)
+    if not ini.parser.has_section("condition"):
         raise ConfigError(f"{path}: missing [condition] section")
-    raw_t = _get(parser, "condition", "filter_time_constants", str, "0.005 0.01 0.02")
-    raw_m = _get(parser, "condition", "masses", str, "0.75 1.5 2.25")
-    return {
+    raw_t = ini.get("condition", "filter_time_constants", str, "0.005 0.01 0.02")
+    raw_m = ini.get("condition", "masses", str, "0.75 1.5 2.25")
+    job = {
         "time_constants": _float_list(raw_t),
-        "filter_gain": _get(parser, "condition", "filter_gain", float, 10.0),
-        "sample_period": _get(parser, "condition", "sample_period", float, 1e-3),
-        "qd_peak": _get(parser, "condition", "qd_peak", float, math.pi / 2),
+        "filter_gain": ini.get("condition", "filter_gain", float, 10.0),
+        "sample_period": ini.get("condition", "sample_period", float, 1e-3),
+        "qd_peak": ini.get("condition", "qd_peak", float, math.pi / 2),
         "masses": _float_list(raw_m),
-        "max_contact_stiffness": _get(
-            parser, "condition", "max_contact_stiffness", float, 0.0),
-        "gravity_comp": _get(parser, "condition", "gravity_comp", bool, True),
-        "params": _plant_overrides(parser) or benchmark_params(),
+        "max_contact_stiffness": ini.get(
+            "condition", "max_contact_stiffness", float, 0.0),
+        "gravity_comp": ini.get("condition", "gravity_comp", bool, True),
+        "params": _plant_overrides(ini) or benchmark_params(),
     }
+    ini.check_unknown()
+    return job

@@ -11,6 +11,14 @@ The adaptive layer runs three pieces once per sample period T_s:
   3. prediction: advance x_hat by the exact matrix-exponential discretization
      of the nominal model with all inputs held over the step.
 
+``L1Controller.step`` runs the three pieces with the matrix products
+batched into four numpy calls and the rest in scalar arithmetic, in the
+same floating-point operations as the three methods ``adaptation_update``,
+``l1_control_update`` and ``predictor_step``; those remain the definition,
+and step() reproduces them bit for bit, so recorded traces do not depend on
+which form ran. ``ReferenceSystem``, whose state only feeds a diagnostic,
+evaluates its filter and hold as one precomputed affine map.
+
 Controller instances are single-writer mutable state; independent instances
 may run concurrently.
 """
@@ -25,7 +33,7 @@ from scipy.linalg import expm, solve
 
 from .nominal import NominalModel, RrcGains
 from .params import PlantParams, PlantState
-from .plant import gravity_torque
+from .plant import gravity_gain, gravity_torque
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +89,6 @@ class DisturbanceObserver:
         """Push one sample of the applied torque and motor velocity."""
         v = tau_m_applied + self._gain * dtheta
         self._state = self._decay * self._state + (1.0 - self._decay) * v
-
-
-def dob_update(dob: DisturbanceObserver, dtheta: float, tau_m_applied: float) -> float:
-    """Advance the observer one period and return the fresh estimate."""
-    dob.advance(tau_m_applied, dtheta)
-    return dob.estimate(dtheta)
 
 
 def ideal_motor_side_compensation(state: PlantState | np.ndarray, params: PlantParams) -> float:
@@ -268,6 +270,19 @@ def discretize_filter_bank(model: NominalModel, cfg: L1Config):
     return Ad, Bd, Cd, Dd
 
 
+def _hold_and_filter(model: NominalModel, cfg: L1Config):
+    """The fixed linear maps of one sample period T_s.
+
+    E = e^{A_m T_s} and Phi = A_m^-1 (E - I) are the exact zero-order-hold
+    discretization of the predictor; (Ad, Bd, Cd, Dd) is the Tustin command
+    filter bank. The controller and the reference system both use this.
+    """
+    n = model.A_m.shape[0]
+    E = expm(model.A_m * cfg.T_s)
+    Phi = np.linalg.solve(model.A_m, E - np.eye(n))
+    return E, Phi, discretize_filter_bank(model, cfg)
+
+
 class L1Controller:
     """Adaptive position controller around the nominal closed-loop model.
 
@@ -299,39 +314,65 @@ class L1Controller:
         self.gravity_comp = gravity_comp
         self.torque_limit = torque_limit
 
-        n = model.A_m.shape[0]
-        self.E = expm(model.A_m * cfg.T_s)
         try:
-            self.Phi = np.linalg.solve(model.A_m, self.E - np.eye(n))
+            self.E, self.Phi, bank = _hold_and_filter(model, cfg)
             self._zoh_inverse = np.linalg.inv(self.Phi @ model.b_stacked)
         except np.linalg.LinAlgError as exc:
             raise ValueError("singular hold response; check T_s and the model") from exc
+        self.Ad, self.Bd, self.Cd, self.Dd = bank
+        self._gravity_gain = gravity_gain(params, params.m_0)
 
-        self.Ad, self.Bd, self.Cd, self.Dd = discretize_filter_bank(model, cfg)
+        # step() batches the definition's matrix products. In a batched
+        # matmul numpy multiplies each item with the BLAS call that item alone
+        # would get (gemv for 4x4, dot for 1x4), so step() rounds as the
+        # three methods do. The operands share one buffer, [x_tilde; x_hat;
+        # z_f; x; v] (state and filter order are both 4): [-Z; E; Ad] act on
+        # the first three, [Cd; K; Dd] on the last three.
+        self._buf = np.zeros(20)
+        self._x_hat = self._buf[4:8]
+        self._zf = self._buf[8:12]
+        self._start = self._buf[:12].reshape(3, 4, 1)
+        self._dots = self._buf[8:].reshape(3, 4, 1)
+        self._start_maps = np.stack([-self._zoh_inverse, self.E, self.Ad])
+        self._dot_rows = np.stack([self.Cd, gains.K[None, :], self.Dd])
+        # [B_m B_um] permutes identity columns, so row r of B_m * matched +
+        # B_um @ unmatched is input route[r] of (matched, *unmatched) plus
+        # exact zeros, which only turn -0.0 into 0.0
+        b = model.b_stacked
+        self._route = tuple(int(j) for j in np.argmax(b, axis=1))
+        if not np.array_equal(b, np.eye(4)[list(self._route)]):
+            raise ValueError("[B_m B_um] must be a permutation of identity columns")
 
-        self.x_hat = np.zeros(n)
         self.sigma1_hat = 0.0
         self.sigma2_hat = np.zeros(3)
         self.u2 = 0.0
-        self._zf = np.zeros(self.Ad.shape[0])
         # trace hooks
         self.u1_last = 0.0
         self.u2_last = 0.0
         self.xtilde_inf_last = 0.0
         self.u_gc_last = 0.0
-        self.g_ff_last = np.zeros(3)
+        self.g_ff_last = (0.0, 0.0, 0.0)
+
+    @property
+    def x_hat(self) -> np.ndarray:
+        """Predictor state; a view that each sample updates in place."""
+        return self._x_hat
+
+    @x_hat.setter
+    def x_hat(self, value):
+        self._x_hat[:] = value
 
     def reset(self, x0):
         """Start from a measured state: zero prediction error, zero estimates."""
         if isinstance(x0, PlantState):
-            x0 = np.array(x0.as_tuple())
-        self.x_hat = np.asarray(x0, dtype=float).copy()
+            x0 = x0.as_tuple()
+        self._buf[:] = 0.0
+        self.x_hat = x0
         self.sigma1_hat = 0.0
         self.sigma2_hat = np.zeros(3)
         self.u2 = 0.0
-        self._zf = np.zeros(self.Ad.shape[0])
 
-    # -- the three per-sample operations, exposed for direct testing --------
+    # -- the three per-sample operations: the definition of step() ----------
 
     def adaptation_update(self, x_tilde: np.ndarray) -> tuple[float, np.ndarray]:
         """Piecewise-constant estimates explaining the prediction error.
@@ -351,7 +392,7 @@ class L1Controller:
         v[0] = sigma1 - self.model.K_g * q_d
         v[1:] = sigma2
         y = float((self.Cd @ self._zf + self.Dd @ v)[0])
-        self._zf = self.Ad @ self._zf + self.Bd @ v
+        self._zf[:] = self.Ad @ self._zf + self.Bd @ v
         self.u2 = -y
         return self.u2
 
@@ -368,36 +409,55 @@ class L1Controller:
 
     # -----------------------------------------------------------------------
 
-    def _gravity_terms(self, q_meas: float, q_d: float) -> tuple[float, np.ndarray]:
-        if not self.gravity_comp:
-            return 0.0, np.zeros(3)
-        p = self.params
-        u_gc = (
-            self.gains.K_p * gravity_torque(p, q_d, p.m_0) / p.K_f
-            + self.gains.K_r * gravity_torque(p, self.x_hat[0], p.m_0)
-        )
-        g_ff = np.array([0.0, -gravity_torque(p, q_meas, p.m_0) / p.J_a, 0.0])
-        return u_gc, g_ff
-
-    def step(self, x: np.ndarray, q_d: float, tau_dob: float) -> float:
+    def step(self, x, q_d: float, tau_dob: float) -> float:
         """One full control sample; returns the motor torque to apply.
 
-        When the torque limit clips, the predictor is fed the achieved input
-        instead of the requested one so the estimates never wind up against
-        the saturation.
+        Runs adaptation_update, l1_control_update and predictor_step with the
+        gravity feedforward and the torque clamp, in the same floating-point
+        operations, with the matrix products batched. When the torque limit
+        clips, the predictor is fed the achieved input instead of the
+        requested one so the estimates never wind up against the saturation.
+        ``x`` is the measured state as a 4-sequence.
         """
-        x = np.asarray(x, dtype=float)
-        x_tilde = self.x_hat - x
-        self.xtilde_inf_last = float(np.max(np.abs(x_tilde)))
-        sigma1, sigma2 = self.adaptation_update(x_tilde)
-        u2 = self.l1_control_update(sigma1, sigma2, q_d)
-        u1 = -float(self.gains.K @ x)
-        u_gc, g_ff = self._gravity_terms(x[0], q_d)
-        tau_m = self.params.J_m * (u1 + u2 + u_gc) + tau_dob
+        p = self.params
+        buf = self._buf
+        x0, x1, x2, x3 = x
+        h0, h1, h2, h3 = self._x_hat.tolist()
+        xt0, xt1, xt2, xt3 = h0 - x0, h1 - x1, h2 - x2, h3 - x3
+        buf[:4] = xt0, xt1, xt2, xt3
+        self.xtilde_inf_last = max(abs(xt0), abs(xt1), abs(xt2), abs(xt3))
+
+        start = self._start_maps @ self._start
+        s0, s1, s2, s3, e0, e1, e2, e3, a0, a1, a2, a3 = start.ravel().tolist()
+        buf[12:] = x0, x1, x2, x3, s0 - self.model.K_g * q_d, s1, s2, s3
+        b0, b1, b2, b3 = (self.Bd @ buf[16:]).tolist()
+        c_zf, k_x, d_v = (self._dot_rows @ self._dots).ravel().tolist()
+        u2 = -(c_zf + d_v)
+        u1 = -k_x
+
+        if self.gravity_comp:
+            g = self._gravity_gain
+            u_gc = (self.gains.K_p * (g * math.sin(q_d)) / p.K_f
+                    + self.gains.K_r * (g * math.sin(h0)))
+            g_ff = (0.0, -(g * math.sin(x0)) / p.J_a, 0.0)
+        else:
+            u_gc = 0.0
+            g_ff = (0.0, 0.0, 0.0)
+        tau_m = p.J_m * (u1 + u2 + u_gc) + tau_dob
         if self.torque_limit is not None:
             tau_m = min(max(tau_m, -self.torque_limit), self.torque_limit)
-        u2_effective = (tau_m - tau_dob) / self.params.J_m - u1 - u_gc
-        self.predictor_step(u2_effective, matched_known=u_gc, unmatched_known=g_ff)
+        u2_effective = (tau_m - tau_dob) / p.J_m - u1 - u_gc
+
+        inputs = (u2_effective + u_gc + s0, s1 + g_ff[0], s2 + g_ff[1], s3 + g_ff[2])
+        r0, r1, r2, r3 = self._route
+        drive = (inputs[r0] + 0.0, inputs[r1] + 0.0, inputs[r2] + 0.0, inputs[r3] + 0.0)
+        d0, d1, d2, d3 = (self.Phi @ drive).tolist()
+        buf[4:12] = (e0 + d0, e1 + d1, e2 + d2, e3 + d3,  # x_hat
+                     a0 + b0, a1 + b1, a2 + b2, a3 + b3)  # z_f
+
+        self.sigma1_hat = s0
+        self.sigma2_hat = start[0, 1:, 0]
+        self.u2 = u2
         self.u1_last = u1
         self.u2_last = u2
         self.u_gc_last = u_gc
@@ -417,43 +477,66 @@ class ReferenceSystem:
     realization with the real controller and advances its state with the same
     exact hold discretization, so differences against the real loop isolate
     the estimation error.
+
+    Filter and hold form one affine map, so ``step`` is one precomputed
+    matrix product; it agrees with the unfused formula to rounding.
     """
 
     def __init__(self, model: NominalModel, cfg: L1Config):
         self.model = model
         self.cfg = cfg
-        n = model.A_m.shape[0]
-        self.E = expm(model.A_m * cfg.T_s)
-        self.Phi = np.linalg.solve(model.A_m, self.E - np.eye(n))
-        self.Ad, self.Bd, self.Cd, self.Dd = discretize_filter_bank(model, cfg)
-        self.x_r = np.zeros(n)
-        self._zf = np.zeros(self.Ad.shape[0])
-        self.u2r = 0.0
+        self.E, self.Phi, bank = _hold_and_filter(model, cfg)
+        self.Ad, self.Bd, self.Cd, self.Dd = bank
+
+        # One sample as one matrix over w = [x_r (0:4); sigma1 (4); sigma2 (5:8);
+        # q_d (8); matched_known (9); unmatched_known (10:13); z_f (13:)]. The
+        # rows of G @ w are [x_r+; z_f+; y], with the command u2r = -y.
+        nf = self.Ad.shape[0]
+        v = np.zeros((4, 13))  # filter input [sigma1 - K_g q_d; sigma2]
+        v[:, 4:8] = np.eye(4)
+        v[0, 8] = -model.K_g
+        matched = np.zeros(13)  # sigma1 + matched_known, u2r added below
+        matched[[4, 9]] = 1.0
+        unmatched = v[1:].copy()  # sigma2 + unmatched_known
+        unmatched[:, 10:13] = np.eye(3)
+        y = np.hstack([self.Dd @ v, self.Cd])
+        x_next = np.hstack([
+            self.E @ np.eye(4, 13)
+            + self.Phi @ (np.outer(model.B_m, matched) + model.B_um @ unmatched),
+            np.zeros((4, nf)),
+        ])
+        x_next -= np.outer(self.Phi @ model.B_m, y[0])
+        self._G = np.vstack([x_next, np.hstack([self.Bd @ v, self.Ad]), y])
+        self._w = np.zeros(self._G.shape[1])
+        self._zf = self._w[13:]
+        self._rows_zf = slice(4, 4 + nf)
+        self.reset()
 
     def reset(self, x0=None):
-        self.x_r = np.zeros(4) if x0 is None else np.asarray(x0, dtype=float).copy()
-        self._zf = np.zeros(self.Ad.shape[0])
+        self._w[:] = 0.0
+        if x0 is not None:
+            self._w[:4] = x0
+        self.x_r = self._w[:4].copy()
         self.u2r = 0.0
 
     def step(
         self,
         sigma1_true: float,
-        sigma2_true: np.ndarray,
+        sigma2_true,
         q_d: float,
         matched_known: float = 0.0,
-        unmatched_known: np.ndarray | None = None,
+        unmatched_known=None,
     ) -> np.ndarray:
-        v = np.empty(4)
-        v[0] = sigma1_true - self.model.K_g * q_d
-        v[1:] = sigma2_true
-        y = float((self.Cd @ self._zf + self.Dd @ v)[0])
-        self._zf = self.Ad @ self._zf + self.Bd @ v
-        self.u2r = -y
-        unmatched = np.asarray(sigma2_true, dtype=float)
-        if unmatched_known is not None:
-            unmatched = unmatched + unmatched_known
-        self.x_r = self.E @ self.x_r + self.Phi @ (
-            self.model.B_m * (self.u2r + matched_known + sigma1_true)
-            + self.model.B_um @ unmatched
-        )
+        """Advance one sample; the 3-vectors may be any float sequences."""
+        w = self._w
+        w[4] = sigma1_true
+        w[5:8] = sigma2_true
+        w[8] = q_d
+        w[9] = matched_known
+        w[10:13] = 0.0 if unmatched_known is None else unmatched_known
+        out = self._G @ w
+        self._zf[:] = out[self._rows_zf]
+        self.x_r = out[:4]
+        w[:4] = self.x_r
+        self.u2r = -float(out[-1])
         return self.x_r

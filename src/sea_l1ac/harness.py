@@ -153,6 +153,17 @@ def _target(cfg_t: float, amplitude: float, start: float) -> float:
     return amplitude if cfg_t >= start - 1e-12 else 0.0
 
 
+def _columns(data: np.ndarray, rows: int) -> dict:
+    return {name: data[j, :rows] for j, name in enumerate(TRACE_COLUMNS)}
+
+
+def _diagnostics(xtilde_max: float, ref_err_max: float, reference) -> dict:
+    aux = {"xtilde_max": xtilde_max}
+    if reference is not None:
+        aux["ref_err_max"] = ref_err_max
+    return aux
+
+
 def run_scenario(cfg: ScenarioConfig) -> RunTrace:
     """Execute one scenario and return its trace.
 
@@ -195,7 +206,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
 
     n_steps = int(round(cfg.duration / cfg.T_s))
     n_rows = (n_steps + cfg.decimate - 1) // cfg.decimate
-    cols = {name: np.zeros(n_rows) for name in TRACE_COLUMNS}
+    data = np.zeros((len(TRACE_COLUMNS), n_rows))  # row j is TRACE_COLUMNS[j]
 
     meta = {
         "name": cfg.name,
@@ -208,10 +219,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
         "K_t": params.K_t,
         "omega": params.omega,
     }
-    aux: dict = {"xtilde_max": 0.0}
-    if reference is not None:
-        aux["ref_err_max"] = 0.0
-
+    xtilde_max = ref_err_max = 0.0
     x = (0.0, 0.0, 0.0, 0.0)
     row = 0
     for i in range(n_steps):
@@ -221,40 +229,34 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
             tau_dob = ideal_motor_side_compensation(x, params)
         else:
             tau_dob = dob.estimate(x[3])
-        x_arr = np.array(x)
-        tau_m = controller.step(x_arr, q_d, tau_dob)
+        tau_m = controller.step(x, q_d, tau_dob)
 
         if reference is not None:
-            tau_spring = params.K_f * (x[2] - x[0])
-            sigma1_true = (tau_dob - params.f_m * x[3] - tau_spring) / params.J_m
-            link_torque = contact_torque(env, x[0])
+            q, dq, theta, dtheta = x
+            tau_spring = params.K_f * (theta - q)
+            sigma1_true = (tau_dob - params.f_m * dtheta - tau_spring) / params.J_m
+            link_torque = contact_torque(env, q)
             if cfg.gravity_on:
-                link_torque += gravity_torque(params, x[0], params.m)
-            g_ff1 = controller.g_ff_last[1] if hasattr(controller, "g_ff_last") else 0.0
-            sigma2_true = np.array([0.0, -link_torque / params.J_a - g_ff1, 0.0])
+                link_torque += gravity_torque(params, q, params.m)
+            g_ff = controller.g_ff_last
             x_r = reference.step(
                 sigma1_true,
-                sigma2_true,
+                (0.0, -link_torque / params.J_a - g_ff[1], 0.0),
                 q_d,
-                matched_known=getattr(controller, "u_gc_last", 0.0),
-                unmatched_known=getattr(controller, "g_ff_last", None),
+                matched_known=controller.u_gc_last,
+                unmatched_known=g_ff,
             )
-            aux["ref_err_max"] = max(aux["ref_err_max"], float(np.max(np.abs(x_r - x_arr))))
+            r0, r1, r2, r3 = x_r.tolist()
+            ref_err_max = max(ref_err_max, abs(r0 - q), abs(r1 - dq),
+                              abs(r2 - theta), abs(r3 - dtheta))
 
-        aux["xtilde_max"] = max(aux["xtilde_max"], controller.xtilde_inf_last)
+        xtilde_max = max(xtilde_max, controller.xtilde_inf_last)
 
         if i % cfg.decimate == 0:
-            cols["t_s"][row] = t
-            cols["q_rad"][row] = x[0]
-            cols["dq_rad_per_s"][row] = x[1]
-            cols["theta_rad"][row] = x[2]
-            cols["dtheta_rad_per_s"][row] = x[3]
-            cols["tau_m_Nm"][row] = tau_m
-            cols["current_permil"][row] = tau_m / params.K_t
-            cols["sigma22_hat"][row] = float(controller.sigma2_hat[1])
-            cols["xtilde_inf"][row] = controller.xtilde_inf_last
-            cols["u1"][row] = controller.u1_last
-            cols["u2"][row] = controller.u2_last
+            data[:, row] = (
+                t, *x, tau_m, tau_m / params.K_t, controller.sigma2_hat[1],
+                controller.xtilde_inf_last, controller.u1_last, controller.u2_last,
+            )
             row += 1
 
         for _ in range(cfg.substeps):
@@ -263,15 +265,16 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
             x = _rk4_tuple(x, tau_m, h, params, env, cfg.gravity_on)
             if not all(map(math.isfinite, x)):
                 partial = RunTrace(
-                    columns={k: v[:row].copy() for k, v in cols.items()},
+                    columns=_columns(data, row),
                     meta=meta,
-                    aux=aux,
+                    aux=_diagnostics(xtilde_max, ref_err_max, reference),
                 )
                 raise SimulationDivergence(
                     f"state diverged at t={t:.4f} s in scenario {cfg.name!r}", partial
                 )
 
-    return RunTrace(columns=cols, meta=meta, aux=aux)
+    return RunTrace(columns=_columns(data, row), meta=meta,
+                    aux=_diagnostics(xtilde_max, ref_err_max, reference))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ import math
 from .params import EnvironmentModel, PlantParams, PlantState
 
 
-def gravity_torque(params: PlantParams, q: float, mass: float | None = None) -> float:
-    """Gravity load torque at link angle ``q`` for the given load mass.
+def gravity_gain(params: PlantParams, mass: float | None = None) -> float:
+    """Gravity load torque per unit sin(q) for the given load mass.
 
     Single-link pendulum form, calibrated so that the nominal mass produces
     ``G_0`` at q = 90 deg: G(q) = (mass / m_0) * G_0 * sin(q).
@@ -27,7 +27,12 @@ def gravity_torque(params: PlantParams, q: float, mass: float | None = None) -> 
         mass = params.m
     if mass < 0.0:
         raise ValueError("mass must be nonnegative")
-    return (mass / params.m_0) * params.G_0 * math.sin(q)
+    return (mass / params.m_0) * params.G_0
+
+
+def gravity_torque(params: PlantParams, q: float, mass: float | None = None) -> float:
+    """Gravity load torque at link angle ``q`` for the given load mass."""
+    return gravity_gain(params, mass) * math.sin(q)
 
 
 def contact_torque(env: EnvironmentModel, q: float) -> float:
@@ -49,19 +54,27 @@ def disturbance_torque(env: EnvironmentModel, params: PlantParams, q: float) -> 
     return delta_g + contact_torque(env, q)
 
 
-def _rhs(
-    q: float,
-    dq: float,
-    theta: float,
-    dtheta: float,
-    tau_m: float,
-    params: PlantParams,
-    env: EnvironmentModel,
-    gravity_on: bool,
-) -> tuple[float, float, float, float]:
-    # scalar core shared by plant_rhs and the integrator hot loop
-    g_nom = gravity_torque(params, q, params.m_0) if gravity_on else 0.0
-    tau_dis = disturbance_torque(env, params, q) if gravity_on else contact_torque(env, q)
+def _link_gravity_gains(params: PlantParams, env: EnvironmentModel, gravity_on: bool):
+    # (nominal, actual load) gravity gains, or None with gravity off
+    if not gravity_on:
+        return None
+    return (gravity_gain(params, params.m_0),
+            gravity_gain(params, params.m_0 + env.mass_deviation(params)))
+
+
+def _derivative(q, dq, theta, dtheta, tau_m, params, env, gravity_gains):
+    # scalar core of plant_rhs and the integrator hot loop; the arithmetic of
+    # gravity_torque and disturbance_torque, with sin q computed once
+    tau_dis = contact_torque(env, q)
+    g_nom = 0.0
+    if gravity_gains is not None:
+        nominal, load = gravity_gains
+        try:
+            s = math.sin(q)
+        except ValueError:  # sin(+-inf): leave the blow-up to the finiteness check
+            s = math.nan
+        g_nom = nominal * s
+        tau_dis = (load * s - g_nom) + tau_dis
     spring = params.K_f * (theta - q)
     ddq = (spring - tau_dis - g_nom) / params.J_a
     ddtheta = (tau_m - params.f_m * dtheta - spring) / params.J_m
@@ -81,7 +94,8 @@ def plant_rhs(
     With ``gravity_on=False`` both the nominal gravity and the load-mismatch
     part of the disturbance are dropped (contact stays active).
     """
-    d = _rhs(state.q, state.dq, state.theta, state.dtheta, tau_m, params, env, gravity_on)
+    d = _derivative(state.q, state.dq, state.theta, state.dtheta, tau_m, params, env,
+                    _link_gravity_gains(params, env, gravity_on))
     return PlantState(*d)
 
 
@@ -109,19 +123,20 @@ def integrate_step(
 
 def _rk4_tuple(x, tau_m, dt, params, env, gravity_on):
     q, dq, th, dth = x
-    k1 = _rhs(q, dq, th, dth, tau_m, params, env, gravity_on)
+    gains = _link_gravity_gains(params, env, gravity_on)
+    k1 = _derivative(q, dq, th, dth, tau_m, params, env, gains)
     h2 = dt * 0.5
-    k2 = _rhs(
+    k2 = _derivative(
         q + h2 * k1[0], dq + h2 * k1[1], th + h2 * k1[2], dth + h2 * k1[3],
-        tau_m, params, env, gravity_on,
+        tau_m, params, env, gains,
     )
-    k3 = _rhs(
+    k3 = _derivative(
         q + h2 * k2[0], dq + h2 * k2[1], th + h2 * k2[2], dth + h2 * k2[3],
-        tau_m, params, env, gravity_on,
+        tau_m, params, env, gains,
     )
-    k4 = _rhs(
+    k4 = _derivative(
         q + dt * k3[0], dq + dt * k3[1], th + dt * k3[2], dth + dt * k3[3],
-        tau_m, params, env, gravity_on,
+        tau_m, params, env, gains,
     )
     c = dt / 6.0
     return (

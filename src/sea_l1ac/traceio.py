@@ -2,17 +2,26 @@
 
 The first line carries ``# key=value`` pairs needed to interpret the trace,
 the second line is the fixed column header, every following line is one
-sample. Floats are written with shortest round-trip representation, so
-export -> import -> export is byte-identical.
+sample. Floats are written with shortest round-trip representation, and text
+values are percent-encoded wherever they hold a space, ``=``, ``#``, ``%``
+or a character that is not printable ASCII, so export -> import -> export is
+byte-identical for every text value.
 """
 
 from __future__ import annotations
 
+import string
 from pathlib import Path
+from urllib.parse import quote, unquote
 
 import numpy as np
 
 from .harness import TRACE_COLUMNS, RunTrace
+
+
+# metadata keys whose values stay text even when they look like numbers
+_TEXT_KEYS = ("name", "controller")
+_META_SAFE = "".join(c for c in string.printable if c not in " =#%" and not c.isspace())
 
 
 def _fmt(value) -> str:
@@ -21,13 +30,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _meta_line(meta: dict) -> str:
+    return "# " + " ".join(f"{k}={quote(_fmt(v), safe=_META_SAFE)}" for k, v in meta.items())
+
+
+def _parse_meta_line(line: str) -> dict:
+    meta: dict = {}
+    for token in line[1:].split():
+        key, _, raw = token.partition("=")
+        value = unquote(raw)
+        if key not in _TEXT_KEYS:
+            try:
+                value = float(value)
+            except ValueError:
+                pass
+        meta[key] = value
+    return meta
+
+
 def export_trace(trace: RunTrace, path) -> Path:
     """Write a trace to ``path``; returns the path written."""
     path = Path(path)
     try:
         with path.open("w", encoding="utf-8", newline="\n") as fh:
-            meta = " ".join(f"{k}={_fmt(v)}" for k, v in trace.meta.items())
-            fh.write(f"# {meta}\n")
+            fh.write(_meta_line(trace.meta) + "\n")
             fh.write(",".join(TRACE_COLUMNS) + "\n")
             arrays = [trace.columns[name] for name in TRACE_COLUMNS]
             for i in range(len(trace)):
@@ -47,15 +73,7 @@ def import_trace(path) -> RunTrace:
     meta: dict = {}
     idx = 0
     if lines and lines[0].startswith("#"):
-        for token in lines[0][1:].split():
-            key, _, raw = token.partition("=")
-            if key in ("name", "controller"):
-                meta[key] = raw
-                continue
-            try:
-                meta[key] = float(raw)
-            except ValueError:
-                meta[key] = raw
+        meta = _parse_meta_line(lines[0])
         idx = 1
     header = lines[idx].split(",")
     if tuple(header) != TRACE_COLUMNS:

@@ -11,7 +11,6 @@ from sea_l1ac import (
     L1Config,
     L1Controller,
     ReferenceSystem,
-    dob_update,
     gravity_torque,
     rrc_control,
 )
@@ -31,7 +30,8 @@ from sea_l1ac.params import PlantState
 def test_dob_zero_in_zero_out(params):
     dob = DisturbanceObserver(DobConfig(), params, 1e-3)
     for _ in range(50):
-        assert dob_update(dob, 0.0, 0.0) == 0.0
+        dob.advance(0.0, 0.0)
+        assert dob.estimate(0.0) == 0.0
 
 
 def test_dob_step_disturbance_first_order_response(params):
@@ -41,7 +41,8 @@ def test_dob_step_disturbance_first_order_response(params):
     dob = DisturbanceObserver(DobConfig(g_ob=g), params, dt)
     steps = int(round(1.0 / g / dt))
     for _ in range(steps):
-        out = dob_update(dob, 0.0, d)
+        dob.advance(d, 0.0)
+    out = dob.estimate(0.0)
     assert out == pytest.approx(d * (1.0 - math.exp(-1.0)), rel=1e-9)
 
 
@@ -50,7 +51,8 @@ def test_dob_converges_to_constant_disturbance_with_motion(params):
     dob = DisturbanceObserver(DobConfig(), params, 1e-4)
     dtheta, d = 2.0, 11.0
     for _ in range(5000):
-        out = dob_update(dob, dtheta, d)
+        dob.advance(d, dtheta)
+    out = dob.estimate(dtheta)
     assert out == pytest.approx(d, rel=1e-9)
 
 
@@ -274,3 +276,105 @@ def test_reference_system_respects_certified_bound(params, model):
         x_r = ref.step(0.0, sigma2, math.pi / 2)
         peak = max(peak, float(np.max(np.abs(x_r))))
     assert peak <= 100.0
+
+
+# ---------------------------------------------------------------------------
+# per-sample steps against their definition
+# ---------------------------------------------------------------------------
+
+def _assert_close(got, want, *terms):
+    """1e-12 relative plus 1e-15 absolute; relative to the largest of
+    ``want`` and the ``terms`` summed to produce it, since a sum that
+    cancels keeps the rounding error of its terms."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    scale = max(float(np.max(np.abs(t))) for t in (want, *terms))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale + 1e-15
+
+
+def _definition_step(ctl, x, q_d, tau_dob):
+    """L1Controller.step written as its definition: adaptation, filter and
+    predictor in turn, plus the gravity feedforward and the torque clamp.
+    Returns the torque and the trace hooks (xtilde_inf, u1, u2)."""
+    p, gains = ctl.params, ctl.gains
+    x = np.asarray(x, dtype=float)
+    x_tilde = ctl.x_hat - x
+    sigma1, sigma2 = ctl.adaptation_update(x_tilde)
+    u2 = ctl.l1_control_update(sigma1, sigma2, q_d)
+    u1 = -float(gains.K @ x)
+    u_gc, g_ff = 0.0, np.zeros(3)
+    if ctl.gravity_comp:
+        u_gc = (gains.K_p * gravity_torque(p, q_d, p.m_0) / p.K_f
+                + gains.K_r * gravity_torque(p, ctl.x_hat[0], p.m_0))
+        g_ff[1] = -gravity_torque(p, x[0], p.m_0) / p.J_a
+    tau_m = p.J_m * (u1 + u2 + u_gc) + tau_dob
+    if ctl.torque_limit is not None:
+        tau_m = min(max(tau_m, -ctl.torque_limit), ctl.torque_limit)
+    u2_effective = (tau_m - tau_dob) / p.J_m - u1 - u_gc
+    ctl.predictor_step(u2_effective, matched_known=u_gc, unmatched_known=g_ff)
+    return tau_m, (float(np.max(np.abs(x_tilde))), u1, u2)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+_state = st.tuples(st.floats(-3, 3), st.floats(-20, 20), st.floats(-3, 3), st.floats(-50, 50))
+_sample = st.tuples(_state, st.floats(-2, 2), st.floats(-50, 50))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x0=_state,
+    samples=st.lists(_sample, min_size=1, max_size=4),
+    gravity_comp=st.booleans(),
+    # 1 N m clips nearly every sample, 1e6 N m never does
+    torque_limit=st.one_of(st.none(), st.sampled_from([1.0, 1e6]), st.floats(1.0, 500.0)),
+)
+def test_l1_step_reproduces_its_definition_bit_for_bit(params, gains, model, x0, samples,
+                                                       gravity_comp, torque_limit):
+    # recorded traces stay byte-identical only if step() rounds exactly as
+    # the three methods do
+    batched, plain = (
+        L1Controller(params, gains, model, L1Config(), gravity_comp=gravity_comp,
+                     torque_limit=torque_limit)
+        for _ in range(2)
+    )
+    batched.reset(np.array(x0))
+    plain.reset(np.array(x0))
+    for x, q_d, tau_dob in samples:
+        tau_m = batched.step(x, q_d, tau_dob)
+        want, hooks = _definition_step(plain, x, q_d, tau_dob)
+        assert _bits(tau_m) == _bits(want)
+        assert _bits([batched.xtilde_inf_last, batched.u1_last, batched.u2_last]) == _bits(hooks)
+        assert _bits(batched.x_hat) == _bits(plain.x_hat)
+        assert _bits(batched._zf) == _bits(plain._zf)
+        assert _bits([batched.sigma1_hat, *batched.sigma2_hat]) == \
+            _bits([plain.sigma1_hat, *plain.sigma2_hat])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x0=_state,
+    samples=st.lists(
+        st.tuples(st.floats(-50, 50), st.tuples(*[st.floats(-50, 50)] * 3), st.floats(-2, 2),
+                  st.floats(-50, 50), st.tuples(*[st.floats(-50, 50)] * 3)),
+        min_size=1, max_size=4),
+)
+def test_fused_reference_step_matches_unfused_formula(model, x0, samples):
+    ref = ReferenceSystem(model, L1Config())
+    ref.reset(np.array(x0))
+    x_r, zf = np.array(x0), np.zeros(ref.Ad.shape[0])
+    for sigma1, sigma2, q_d, matched_known, unmatched_known in samples:
+        v = np.array([sigma1 - model.K_g * q_d, *sigma2])
+        filter_terms = (ref.Cd @ zf, ref.Dd @ v)
+        zf_terms = (ref.Ad @ zf, ref.Bd @ v)
+        u2r = -float(sum(filter_terms)[0])
+        zf = sum(zf_terms)
+        drive = (model.B_m * (u2r + matched_known + sigma1),
+                 model.B_um @ (np.array(sigma2) + unmatched_known))
+        x_terms = (ref.E @ x_r, *(ref.Phi @ d for d in drive))
+        x_r = sum(x_terms)
+        got = ref.step(sigma1, sigma2, q_d, matched_known, unmatched_known)
+        _assert_close(got, x_r, *x_terms, ref.Phi @ model.B_m * u2r)
+        _assert_close(ref._zf, zf, *zf_terms)
+        _assert_close(ref.u2r, u2r, *filter_terms)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sea_l1ac
 from sea_l1ac import (
@@ -85,6 +87,22 @@ def test_round_trip_keeps_numeric_looking_names_textual(tmp_path):
     back = import_trace(p1)
     assert back.meta["name"] == "2250"
     assert p1.read_bytes() == export_trace(back, tmp_path / "n2.csv").read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.text(st.characters(categories=("L", "M", "N", "P", "S")) | st.sampled_from(" =#%")))
+@example(name="my run")
+@example(name="a = b # c % d")
+def test_round_trip_exact_for_any_printable_name(tmp_path_factory, name):
+    assert name.isprintable()
+    out = tmp_path_factory.mktemp("names")
+    trace = _trace_from_q([0.0, 1e-3], [0.0, 0.5],
+                          {"name": name, "controller": "l1ac", "q_d_amplitude": 1.0})
+    p1 = export_trace(trace, out / "a.csv")
+    back = import_trace(p1)
+    assert back.meta["name"] == name
+    assert p1.read_bytes() == export_trace(back, out / "b.csv").read_bytes()
+    assert p1.read_text(encoding="utf-8").splitlines()[0].startswith("# ")
 
 
 def test_export_header_lists_exact_columns(tmp_path):
@@ -260,7 +278,12 @@ def test_scenario_ini_plant_overrides(tmp_path):
 
 
 def test_shipped_configs_parse():
-    from sea_l1ac.config_io import scenario_from_ini, suite_from_ini
+    from sea_l1ac.config_io import (
+        condition_job_from_ini,
+        rootlocus_job_from_ini,
+        scenario_from_ini,
+        suite_from_ini,
+    )
 
     configs = Path(__file__).resolve().parents[1] / "configs"
     fidelity = scenario_from_ini(configs / "nominal_fidelity_rrc.ini")
@@ -273,6 +296,43 @@ def test_shipped_configs_parse():
     assert all(s.torque_limit == 40.0 for s in collision.scenarios)
     assert all(s.contact_position == pytest.approx(0.7 * math.pi / 2)
                for s in collision.scenarios)
+    # every shipped file passes the unknown-key check of its loader(s)
+    for path in configs.glob("*.ini"):
+        if path.name == "analysis.ini":
+            rootlocus_job_from_ini(path)
+            condition_job_from_ini(path)
+        elif path.name.endswith("_suite.ini"):
+            suite_from_ini(path)
+        else:
+            scenario_from_ini(path)
+
+
+@pytest.mark.parametrize("loader, text, section, key", [
+    ("run", "[scenario]\nname = s\n\n[tuning]\nsample_perod = 0.5\n", "tuning", "sample_perod"),
+    ("run", "[scenario]\nname = s\n\n[plant]\nJ_x = 0.5\n", "plant", "j_x"),
+    ("suite", "[suite]\nname = s\nscenaros = a.ini\n", "suite", "scenaros"),
+    ("rootlocus", "[rootlocus]\npoints = 5\nlambda_mx = 9.0\n", "rootlocus", "lambda_mx"),
+    ("condition", "[condition]\nfilter_gain = 9.0\nmass = 1.0\n", "condition", "mass"),
+])
+def test_unknown_config_key_is_rejected(tmp_path, capsys, loader, text, section, key):
+    from sea_l1ac.config_io import (
+        condition_job_from_ini,
+        rootlocus_job_from_ini,
+        scenario_from_ini,
+        suite_from_ini,
+    )
+
+    ini = tmp_path / "typo.ini"
+    ini.write_text(text)
+    load = {"run": scenario_from_ini, "suite": suite_from_ini,
+            "rootlocus": rootlocus_job_from_ini, "condition": condition_job_from_ini}[loader]
+    with pytest.raises(ConfigError) as exc_info:
+        load(ini)
+    message = str(exc_info.value)
+    assert str(ini) in message and f"[{section}]" in message and repr(key) in message
+    argv = [loader, str(ini)] if loader in ("run", "suite") else ["analyze", loader, str(ini)]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    assert '"error": "config"' in capsys.readouterr().err
 
 
 def test_shipped_load_variation_suite_reproduces_the_comparison():
