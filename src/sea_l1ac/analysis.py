@@ -1,10 +1,11 @@
-"""Numerical linear-systems toolkit backing the controller design checks.
+"""Numerical linear-systems toolkit shared by the controllers and the design checks.
 
-Covers the matrix exponential and its integrated hold response, polynomial
-root finding with a repeated-root refinement, the contact-stiffness root
-locus, peak-gain (L1) norms from impulse-response quadrature, the filter
-design condition that certifies the reference system's bound, and the
-closed-form nominal step response.
+Covers the exact zero-order-hold pair (E, Phi), the polynomials of the
+low-pass filter C(s), one observable-canonical realization for filters over
+a shared denominator, polynomial root finding with a repeated-root
+refinement, the contact-stiffness root locus, peak-gain (L1) norms from
+impulse-response quadrature, the filter design condition that certifies the
+reference system's bound, and the closed-form nominal step response.
 
 Everything here is pure and safe to evaluate from concurrent workers.
 """
@@ -13,13 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
 
-from .controllers import L1Config, shaping_filter_polynomials
 from .nominal import NominalModel
 from .params import PlantParams
+
+if TYPE_CHECKING:
+    from .controllers import L1Config
 
 
 class UnstableSystemError(ValueError):
@@ -34,11 +38,49 @@ def matrix_exponential(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     return scipy.linalg.expm(A * t)
 
 
-def hold_response(A: np.ndarray, t: float) -> np.ndarray:
-    """phi(t) = A^-1 (e^{A t} - I), the integral of e^{A s} over [0, t]."""
+def hold_response(A: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact zero-order-hold pair over a period t: E = e^{A t} and
+    Phi = A^-1 (E - I), the integral of e^{A s} over [0, t]."""
     A = np.asarray(A, dtype=float)
     E = matrix_exponential(A, t)
-    return np.linalg.solve(A, E - np.eye(A.shape[0]))
+    return E, np.linalg.solve(A, E - np.eye(A.shape[0]))
+
+
+def shaping_filter_polynomials(T: float, K_a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Numerator and denominator of C(s) = K_a / (s (T s + 1)^3 + K_a)."""
+    lag = np.array([T, 1.0])
+    den = np.polymul(np.polymul(lag, lag), lag)
+    den = np.polymul(den, np.array([1.0, 0.0]))
+    den = np.polyadd(den, np.array([K_a]))
+    return np.array([K_a]), den
+
+
+def observable_realization(numerators, den):
+    """Observable canonical (A, B, C, D) of proper filters over one denominator.
+
+    One shared state chain, one input column per numerator and the first
+    state as the single output; each numerator's direct part goes to its
+    column of D. Raises ValueError for an improper numerator.
+    """
+    den = np.asarray(den, dtype=float)
+    order = len(den) - 1
+    den_m = den / den[0]
+    A = np.zeros((order, order))
+    A[:, 0] = -den_m[1:]
+    A[: order - 1, 1:] = np.eye(order - 1)
+    B = np.zeros((order, len(numerators)))
+    D = np.zeros((1, len(numerators)))
+    for j, num in enumerate(numerators):
+        num = np.asarray(num, dtype=float)
+        if len(num) > order + 1:
+            raise ValueError("numerator degree exceeds the denominator's")
+        num_m = np.zeros(order + 1)
+        num_m[order + 1 - len(num):] = num / den[0]
+        D[0, j] = num_m[0]
+        B[:, j] = num_m[1:] - num_m[0] * den_m[1:]
+    C = np.zeros((1, order))
+    C[0, 0] = 1.0
+    return A, B, C, D
 
 
 # ---------------------------------------------------------------------------
@@ -234,27 +276,6 @@ def l1_norm(
     )
 
 
-def _filter_realization(num: np.ndarray, den: np.ndarray):
-    """Observable-canonical (A, B, C, D) of a proper SISO num/den."""
-    den = np.asarray(den, dtype=float)
-    num = np.asarray(num, dtype=float)
-    order = len(den) - 1
-    padded = np.zeros(order + 1)
-    padded[order + 1 - len(num):] = num
-    den_m = den / den[0]
-    num_m = padded / den[0]
-    d0 = num_m[0]
-    strictly = (num_m - d0 * den_m)[1:]
-    A = np.zeros((order, order))
-    A[:, 0] = -den_m[1:]
-    A[: order - 1, 1:] = np.eye(order - 1)
-    B = strictly[:, None]
-    C = np.zeros((1, order))
-    C[0, 0] = 1.0
-    D = np.array([[d0]])
-    return A, B, C, D
-
-
 def filtered_resolvent(
     model: NominalModel,
     input_columns: np.ndarray,
@@ -266,7 +287,7 @@ def filtered_resolvent(
     cols = np.asarray(input_columns, dtype=float)
     if cols.ndim == 1:
         cols = cols[:, None]
-    Af, Bf, Cf, Df = _filter_realization(filter_num, filter_den)
+    Af, Bf, Cf, Df = observable_realization([filter_num], filter_den)
     nf = Af.shape[0]
     m = cols.shape[1]
     n = model.A_m.shape[0]

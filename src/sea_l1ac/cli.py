@@ -23,6 +23,7 @@ import numpy as np
 from . import analysis
 from .config_io import (
     condition_job_from_ini,
+    finite_float,
     rootlocus_job_from_ini,
     scenario_from_ini,
     suite_from_ini,
@@ -181,8 +182,16 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error, such as a non-finite --ts, as a ConfigError."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sea-l1ac",
         description="Elastic-joint position control simulation and analysis",
     )
@@ -192,10 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default="results", help="output directory")
         p.add_argument("--decimate", type=int, default=None,
                        help="record every Nth controller step")
-        p.add_argument("--ts", type=float, default=None, help="override sample period T_s")
-        p.add_argument("--t-filter", type=float, default=None,
+        p.add_argument("--ts", type=finite_float, default=None, help="override sample period T_s")
+        p.add_argument("--t-filter", type=finite_float, default=None,
                        help="override filter time constant T")
-        p.add_argument("--ka", type=float, default=None, help="override filter gain K_a")
+        p.add_argument("--ka", type=finite_float, default=None, help="override filter gain K_a")
         p.add_argument("--check-condition", action="store_true",
                        help="evaluate the filter design condition first (warn only)")
 
@@ -222,9 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         return _fail("config", str(exc), _EXIT_CONFIG)

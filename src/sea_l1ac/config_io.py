@@ -16,6 +16,14 @@ from .params import PlantParams, benchmark_params
 _PLANT_KEYS = ("J_m", "J_a", "K_f", "G_0", "m_0", "K_t", "f_m")
 
 
+def finite_float(raw) -> float:
+    """float() that also rejects nan and the infinities."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 class _Ini:
     """A parsed INI file that remembers which keys its loader asked for.
 
@@ -45,7 +53,7 @@ class _Ini:
                 return parser.getboolean(section, key)
             return conv(raw)
         except ValueError as exc:
-            raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+            raise ConfigError(f"{self.path}: bad value for [{section}] {key}: {raw!r}") from exc
 
     def check_unknown(self):
         defaults = self.parser.defaults()
@@ -59,7 +67,7 @@ class _Ini:
 
 def _plant_overrides(ini: _Ini) -> PlantParams | None:
     base = benchmark_params()
-    values = {k: ini.get("plant", k, float, None) for k in _PLANT_KEYS}
+    values = {k: ini.get("plant", k, finite_float, None) for k in _PLANT_KEYS}
     if all(v is None for v in values.values()):
         return None
     return PlantParams(m=base.m, **{
@@ -76,20 +84,20 @@ def scenario_from_ini(path) -> ScenarioConfig:
         fields = dict(
             name=ini.get("scenario", "name", str, path.stem),
             controller=ini.get("scenario", "controller", str, "l1ac"),
-            duration=ini.get("scenario", "duration", float, 3.0),
-            mass=ini.get("scenario", "mass", float, 1.5),
+            duration=ini.get("scenario", "duration", finite_float, 3.0),
+            mass=ini.get("scenario", "mass", finite_float, 1.5),
             gravity_on=ini.get("scenario", "gravity", bool, True),
-            q_d_amplitude=ini.get("target", "amplitude", float, math.pi / 2),
-            q_d_start=ini.get("target", "start", float, 0.0),
-            contact_stiffness=ini.get("environment", "contact_stiffness", float, 0.0),
-            contact_position=ini.get("environment", "contact_position", float, 0.0),
+            q_d_amplitude=ini.get("target", "amplitude", finite_float, math.pi / 2),
+            q_d_start=ini.get("target", "start", finite_float, 0.0),
+            contact_stiffness=ini.get("environment", "contact_stiffness", finite_float, 0.0),
+            contact_position=ini.get("environment", "contact_position", finite_float, 0.0),
             bilateral_contact=ini.get("environment", "bilateral", bool, False),
-            T_s=ini.get("tuning", "sample_period", float, 1e-3),
-            T=ini.get("tuning", "filter_time_constant", float, 0.01),
-            K_a=ini.get("tuning", "filter_gain", float, 10.0),
-            g_ob=ini.get("tuning", "observer_bandwidth", float, 500.0),
+            T_s=ini.get("tuning", "sample_period", finite_float, 1e-3),
+            T=ini.get("tuning", "filter_time_constant", finite_float, 0.01),
+            K_a=ini.get("tuning", "filter_gain", finite_float, 10.0),
+            g_ob=ini.get("tuning", "observer_bandwidth", finite_float, 500.0),
             substeps=ini.get("tuning", "substeps", int, 1),
-            torque_limit=ini.get("limits", "torque", float, None),
+            torque_limit=ini.get("limits", "torque", finite_float, None),
             ideal_dob=ini.get("simulation", "ideal_dob", bool, False),
             decimate=ini.get("simulation", "decimate", int, 1),
             params=_plant_overrides(ini),
@@ -117,7 +125,7 @@ def suite_from_ini(path) -> SuiteConfig:
 
 
 def _float_list(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.replace(",", " ").split()]
+    return [finite_float(tok) for tok in raw.replace(",", " ").split()]
 
 
 def rootlocus_job_from_ini(path) -> dict:
@@ -127,8 +135,8 @@ def rootlocus_job_from_ini(path) -> dict:
     if not ini.parser.has_section("rootlocus"):
         raise ConfigError(f"{path}: missing [rootlocus] section")
     job = {
-        "lambda_min": ini.get("rootlocus", "lambda_min", float, 1e-2),
-        "lambda_max": ini.get("rootlocus", "lambda_max", float, 1e4),
+        "lambda_min": ini.get("rootlocus", "lambda_min", finite_float, 1e-2),
+        "lambda_max": ini.get("rootlocus", "lambda_max", finite_float, 1e4),
         "points": ini.get("rootlocus", "points", int, 61),
         "log_scale": ini.get("rootlocus", "log_scale", bool, True),
         "include_zero": ini.get("rootlocus", "include_zero", bool, True),
@@ -148,16 +156,15 @@ def condition_job_from_ini(path) -> dict:
     ini = _Ini(path)
     if not ini.parser.has_section("condition"):
         raise ConfigError(f"{path}: missing [condition] section")
-    raw_t = ini.get("condition", "filter_time_constants", str, "0.005 0.01 0.02")
-    raw_m = ini.get("condition", "masses", str, "0.75 1.5 2.25")
     job = {
-        "time_constants": _float_list(raw_t),
-        "filter_gain": ini.get("condition", "filter_gain", float, 10.0),
-        "sample_period": ini.get("condition", "sample_period", float, 1e-3),
-        "qd_peak": ini.get("condition", "qd_peak", float, math.pi / 2),
-        "masses": _float_list(raw_m),
+        "time_constants": ini.get(
+            "condition", "filter_time_constants", _float_list, [0.005, 0.01, 0.02]),
+        "filter_gain": ini.get("condition", "filter_gain", finite_float, 10.0),
+        "sample_period": ini.get("condition", "sample_period", finite_float, 1e-3),
+        "qd_peak": ini.get("condition", "qd_peak", finite_float, math.pi / 2),
+        "masses": ini.get("condition", "masses", _float_list, [0.75, 1.5, 2.25]),
         "max_contact_stiffness": ini.get(
-            "condition", "max_contact_stiffness", float, 0.0),
+            "condition", "max_contact_stiffness", finite_float, 0.0),
         "gravity_comp": ini.get("condition", "gravity_comp", bool, True),
         "params": _plant_overrides(ini) or benchmark_params(),
     }

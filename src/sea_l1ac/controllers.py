@@ -11,6 +11,9 @@ The adaptive layer runs three pieces once per sample period T_s:
   3. prediction: advance x_hat by the exact matrix-exponential discretization
      of the nominal model with all inputs held over the step.
 
+The hold pair (E, Phi), the polynomials of C(s) and the canonical-form
+realization come from ``analysis``, shared with the design checks.
+
 ``L1Controller.step`` runs the three pieces with the matrix products
 batched into four numpy calls and the rest in scalar arithmetic, in the
 same floating-point operations as the three methods ``adaptation_update``,
@@ -18,6 +21,13 @@ same floating-point operations as the three methods ``adaptation_update``,
 and step() reproduces them bit for bit, so recorded traces do not depend on
 which form ran. ``ReferenceSystem``, whose state only feeds a diagnostic,
 evaluates its filter and hold as one precomputed affine map.
+
+Both controllers' ``step(x, q_d, tau_dob)`` return the step record, a plain
+tuple ``(tau_m, u1, u2, xtilde_inf, sigma22_hat, u_gc, g_ff1)``: torque,
+state-feedback and adaptive commands, prediction-error max norm, link-side
+unmatched estimate, and the known gravity inputs of the reference system
+(matched u_gc, unmatched (0, g_ff1, 0)). The baseline reports zeros for the
+last five.
 
 Controller instances are single-writer mutable state; independent instances
 may run concurrently.
@@ -29,10 +39,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, solve
+from scipy.linalg import solve
 
+from .analysis import hold_response, observable_realization, shaping_filter_polynomials
 from .nominal import NominalModel, RrcGains
-from .params import PlantParams, PlantState
+from .params import PlantParams
 from .plant import gravity_gain, gravity_torque
 
 
@@ -78,9 +89,6 @@ class DisturbanceObserver:
         self._decay = math.exp(-cfg.g_ob * dt)
         self._state = 0.0
 
-    def reset(self):
-        self._state = 0.0
-
     def estimate(self, dtheta: float) -> float:
         """Current disturbance estimate given the measured motor velocity."""
         return self._state - self._gain * dtheta
@@ -91,12 +99,10 @@ class DisturbanceObserver:
         self._state = self._decay * self._state + (1.0 - self._decay) * v
 
 
-def ideal_motor_side_compensation(state: PlantState | np.ndarray, params: PlantParams) -> float:
-    """Exact friction-plus-spring torque, the observer's zero-lag limit."""
-    if isinstance(state, PlantState):
-        q, _, theta, dtheta = state.as_tuple()
-    else:
-        q, _, theta, dtheta = state
+def ideal_motor_side_compensation(state, params: PlantParams) -> float:
+    """Exact friction-plus-spring torque, the observer's zero-lag limit;
+    ``state`` is (q, q', theta, theta') as any 4-sequence."""
+    q, _, theta, dtheta = state
     return params.f_m * dtheta + params.K_f * (theta - q)
 
 
@@ -105,7 +111,7 @@ def ideal_motor_side_compensation(state: PlantState | np.ndarray, params: PlantP
 # ---------------------------------------------------------------------------
 
 def rrc_control(
-    state: PlantState | np.ndarray,
+    state,
     q_d: float,
     gains: RrcGains,
     gravity_est: float,
@@ -113,11 +119,9 @@ def rrc_control(
     params: PlantParams,
 ) -> float:
     """Baseline torque: motor target offset by the spring wind-up that holds
-    gravity, plus spring-feedback shaping, plus the observer feedforward."""
-    if isinstance(state, PlantState):
-        q, _, theta, dtheta = state.as_tuple()
-    else:
-        q, _, theta, dtheta = state
+    gravity, plus spring-feedback shaping, plus the observer feedforward.
+    ``state`` is (q, q', theta, theta') as any 4-sequence."""
+    q, _, theta, dtheta = state
     theta_d = q_d + gravity_est / params.K_f
     u = (
         gains.K_p * (theta_d - theta)
@@ -141,22 +145,14 @@ class RrcController:
         self.gains = gains
         self.gravity_comp = gravity_comp
         self.torque_limit = torque_limit
-        # trace hooks, populated each step
-        self.u1_last = 0.0
-        self.u2_last = 0.0
-        self.sigma2_hat = np.zeros(3)
-        self.xtilde_inf_last = 0.0
 
-    def reset(self, x0=None):
-        self.u1_last = 0.0
-
-    def step(self, x, q_d: float, tau_dob: float) -> float:
+    def step(self, x, q_d: float, tau_dob: float) -> tuple:
+        """One control sample; returns the step record (module docstring)."""
         gravity_est = gravity_torque(self.params, x[0], self.params.m_0) if self.gravity_comp else 0.0
         tau_m = rrc_control(x, q_d, self.gains, gravity_est, tau_dob, self.params)
         if self.torque_limit is not None:
             tau_m = min(max(tau_m, -self.torque_limit), self.torque_limit)
-        self.u1_last = (tau_m - tau_dob) / self.params.J_m
-        return tau_m
+        return tau_m, (tau_m - tau_dob) / self.params.J_m, 0.0, 0.0, 0.0, 0.0, 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +174,6 @@ class L1Config:
             raise ValueError("filter time constant T must exceed the period T_s")
         if self.K_a <= 0.0:
             raise ValueError("K_a must be positive")
-
-
-def shaping_filter_polynomials(T: float, K_a: float) -> tuple[np.ndarray, np.ndarray]:
-    """Numerator and denominator of C(s) = K_a / (s (T s + 1)^3 + K_a)."""
-    lag = np.array([T, 1.0])
-    den = np.polymul(np.polymul(lag, lag), lag)
-    den = np.polymul(den, np.array([1.0, 0.0]))
-    den = np.polyadd(den, np.array([K_a]))
-    return np.array([K_a]), den
 
 
 def _trim_leading(coeffs: np.ndarray, rel: float = 1e-9) -> np.ndarray:
@@ -234,21 +221,7 @@ def build_filter_bank(model: NominalModel, cfg: L1Config):
         if len(num_umj) - 1 > order - 1:
             raise ValueError(f"combined filter channel {j} is not strictly proper")
         numerators.append(cfg.K_a * num_umj / num_m[0])
-
-    # observable canonical form: one shared state chain, one input column per
-    # numerator, output = first state
-    den_monic = den / den[0]
-    A = np.zeros((order, order))
-    A[:, 0] = -den_monic[1:]
-    A[: order - 1, 1:] = np.eye(order - 1)
-    B = np.zeros((order, 4))
-    for j, num in enumerate(numerators):
-        nc = np.asarray(num, dtype=float) / den[0]
-        B[order - len(nc):, j] = nc
-    C = np.zeros((1, order))
-    C[0, 0] = 1.0
-    D = np.zeros((1, 4))
-    return A, B, C, D
+    return observable_realization(numerators, den)
 
 
 def discretize_filter_bank(model: NominalModel, cfg: L1Config):
@@ -268,19 +241,6 @@ def discretize_filter_bank(model: NominalModel, cfg: L1Config):
     if np.max(np.abs(zpoles)) >= 1.0:
         raise ValueError("discretized command filter has poles on or outside the unit circle")
     return Ad, Bd, Cd, Dd
-
-
-def _hold_and_filter(model: NominalModel, cfg: L1Config):
-    """The fixed linear maps of one sample period T_s.
-
-    E = e^{A_m T_s} and Phi = A_m^-1 (E - I) are the exact zero-order-hold
-    discretization of the predictor; (Ad, Bd, Cd, Dd) is the Tustin command
-    filter bank. The controller and the reference system both use this.
-    """
-    n = model.A_m.shape[0]
-    E = expm(model.A_m * cfg.T_s)
-    Phi = np.linalg.solve(model.A_m, E - np.eye(n))
-    return E, Phi, discretize_filter_bank(model, cfg)
 
 
 class L1Controller:
@@ -315,11 +275,11 @@ class L1Controller:
         self.torque_limit = torque_limit
 
         try:
-            self.E, self.Phi, bank = _hold_and_filter(model, cfg)
+            self.E, self.Phi = hold_response(model.A_m, cfg.T_s)
             self._zoh_inverse = np.linalg.inv(self.Phi @ model.b_stacked)
         except np.linalg.LinAlgError as exc:
             raise ValueError("singular hold response; check T_s and the model") from exc
-        self.Ad, self.Bd, self.Cd, self.Dd = bank
+        self.Ad, self.Bd, self.Cd, self.Dd = discretize_filter_bank(model, cfg)
         self._gravity_gain = gravity_gain(params, params.m_0)
 
         # step() batches the definition's matrix products. In a batched
@@ -342,16 +302,7 @@ class L1Controller:
         self._route = tuple(int(j) for j in np.argmax(b, axis=1))
         if not np.array_equal(b, np.eye(4)[list(self._route)]):
             raise ValueError("[B_m B_um] must be a permutation of identity columns")
-
-        self.sigma1_hat = 0.0
-        self.sigma2_hat = np.zeros(3)
-        self.u2 = 0.0
-        # trace hooks
-        self.u1_last = 0.0
-        self.u2_last = 0.0
-        self.xtilde_inf_last = 0.0
-        self.u_gc_last = 0.0
-        self.g_ff_last = (0.0, 0.0, 0.0)
+        self.reset(np.zeros(4))
 
     @property
     def x_hat(self) -> np.ndarray:
@@ -363,14 +314,12 @@ class L1Controller:
         self._x_hat[:] = value
 
     def reset(self, x0):
-        """Start from a measured state: zero prediction error, zero estimates."""
-        if isinstance(x0, PlantState):
-            x0 = x0.as_tuple()
+        """Start from a measured state (any 4-sequence): zero prediction
+        error, zero estimates."""
         self._buf[:] = 0.0
         self.x_hat = x0
         self.sigma1_hat = 0.0
         self.sigma2_hat = np.zeros(3)
-        self.u2 = 0.0
 
     # -- the three per-sample operations: the definition of step() ----------
 
@@ -393,8 +342,7 @@ class L1Controller:
         v[1:] = sigma2
         y = float((self.Cd @ self._zf + self.Dd @ v)[0])
         self._zf[:] = self.Ad @ self._zf + self.Bd @ v
-        self.u2 = -y
-        return self.u2
+        return -y
 
     def predictor_step(self, u2: float, matched_known: float = 0.0,
                        unmatched_known: np.ndarray | None = None) -> np.ndarray:
@@ -409,8 +357,8 @@ class L1Controller:
 
     # -----------------------------------------------------------------------
 
-    def step(self, x, q_d: float, tau_dob: float) -> float:
-        """One full control sample; returns the motor torque to apply.
+    def step(self, x, q_d: float, tau_dob: float) -> tuple:
+        """One full control sample; returns the step record (module docstring).
 
         Runs adaptation_update, l1_control_update and predictor_step with the
         gravity feedforward and the torque clamp, in the same floating-point
@@ -425,7 +373,6 @@ class L1Controller:
         h0, h1, h2, h3 = self._x_hat.tolist()
         xt0, xt1, xt2, xt3 = h0 - x0, h1 - x1, h2 - x2, h3 - x3
         buf[:4] = xt0, xt1, xt2, xt3
-        self.xtilde_inf_last = max(abs(xt0), abs(xt1), abs(xt2), abs(xt3))
 
         start = self._start_maps @ self._start
         s0, s1, s2, s3, e0, e1, e2, e3, a0, a1, a2, a3 = start.ravel().tolist()
@@ -439,16 +386,15 @@ class L1Controller:
             g = self._gravity_gain
             u_gc = (self.gains.K_p * (g * math.sin(q_d)) / p.K_f
                     + self.gains.K_r * (g * math.sin(h0)))
-            g_ff = (0.0, -(g * math.sin(x0)) / p.J_a, 0.0)
+            g_ff1 = -(g * math.sin(x0)) / p.J_a
         else:
-            u_gc = 0.0
-            g_ff = (0.0, 0.0, 0.0)
+            u_gc = g_ff1 = 0.0
         tau_m = p.J_m * (u1 + u2 + u_gc) + tau_dob
         if self.torque_limit is not None:
             tau_m = min(max(tau_m, -self.torque_limit), self.torque_limit)
         u2_effective = (tau_m - tau_dob) / p.J_m - u1 - u_gc
 
-        inputs = (u2_effective + u_gc + s0, s1 + g_ff[0], s2 + g_ff[1], s3 + g_ff[2])
+        inputs = (u2_effective + u_gc + s0, s1, s2 + g_ff1, s3)
         r0, r1, r2, r3 = self._route
         drive = (inputs[r0] + 0.0, inputs[r1] + 0.0, inputs[r2] + 0.0, inputs[r3] + 0.0)
         d0, d1, d2, d3 = (self.Phi @ drive).tolist()
@@ -457,12 +403,8 @@ class L1Controller:
 
         self.sigma1_hat = s0
         self.sigma2_hat = start[0, 1:, 0]
-        self.u2 = u2
-        self.u1_last = u1
-        self.u2_last = u2
-        self.u_gc_last = u_gc
-        self.g_ff_last = g_ff
-        return tau_m
+        return (tau_m, u1, u2, max(abs(xt0), abs(xt1), abs(xt2), abs(xt3)), s2,
+                u_gc, g_ff1)
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +427,8 @@ class ReferenceSystem:
     def __init__(self, model: NominalModel, cfg: L1Config):
         self.model = model
         self.cfg = cfg
-        self.E, self.Phi, bank = _hold_and_filter(model, cfg)
-        self.Ad, self.Bd, self.Cd, self.Dd = bank
+        self.E, self.Phi = hold_response(model.A_m, cfg.T_s)
+        self.Ad, self.Bd, self.Cd, self.Dd = discretize_filter_bank(model, cfg)
 
         # One sample as one matrix over w = [x_r (0:4); sigma1 (4); sigma2 (5:8);
         # q_d (8); matched_known (9); unmatched_known (10:13); z_f (13:)]. The

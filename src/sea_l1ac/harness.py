@@ -196,7 +196,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
             gravity_comp=cfg.gravity_on and cfg.controller == "l1ac",
             torque_limit=cfg.torque_limit,
         )
-        controller.reset(np.zeros(4))
 
     reference = None
     if cfg.track_reference:
@@ -229,7 +228,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
             tau_dob = ideal_motor_side_compensation(x, params)
         else:
             tau_dob = dob.estimate(x[3])
-        tau_m = controller.step(x, q_d, tau_dob)
+        tau_m, u1, u2, xtilde_inf, sigma22_hat, u_gc, g_ff1 = controller.step(x, q_d, tau_dob)
 
         if reference is not None:
             q, dq, theta, dtheta = x
@@ -238,25 +237,21 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
             link_torque = contact_torque(env, q)
             if cfg.gravity_on:
                 link_torque += gravity_torque(params, q, params.m)
-            g_ff = controller.g_ff_last
             x_r = reference.step(
                 sigma1_true,
-                (0.0, -link_torque / params.J_a - g_ff[1], 0.0),
+                (0.0, -link_torque / params.J_a - g_ff1, 0.0),
                 q_d,
-                matched_known=controller.u_gc_last,
-                unmatched_known=g_ff,
+                matched_known=u_gc,
+                unmatched_known=(0.0, g_ff1, 0.0),
             )
             r0, r1, r2, r3 = x_r.tolist()
             ref_err_max = max(ref_err_max, abs(r0 - q), abs(r1 - dq),
                               abs(r2 - theta), abs(r3 - dtheta))
 
-        xtilde_max = max(xtilde_max, controller.xtilde_inf_last)
+        xtilde_max = max(xtilde_max, xtilde_inf)
 
         if i % cfg.decimate == 0:
-            data[:, row] = (
-                t, *x, tau_m, tau_m / params.K_t, controller.sigma2_hat[1],
-                controller.xtilde_inf_last, controller.u1_last, controller.u2_last,
-            )
+            data[:, row] = (t, *x, tau_m, tau_m / params.K_t, sigma22_hat, xtilde_inf, u1, u2)
             row += 1
 
         for _ in range(cfg.substeps):

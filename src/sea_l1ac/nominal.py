@@ -79,15 +79,8 @@ class NominalModel:
 
 
 def build_nominal_model(params: PlantParams, gains: RrcGains) -> NominalModel:
-    a = params.K_f / params.J_a
-    b = gains.K_r * params.K_f
-    A_m = np.array([
-        [0.0, 1.0, 0.0, 0.0],
-        [-a, 0.0, a, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [b, 0.0, -b - gains.K_p, -gains.K_v],
-    ])
     B_m = np.array([0.0, 0.0, 0.0, 1.0])
+    A_m = open_loop_matrix(params) - np.outer(B_m, gains.K)
     B_um = np.array([
         [1.0, 0.0, 0.0],
         [0.0, 1.0, 0.0],
@@ -121,20 +114,6 @@ class TransferFunction:
         if self.den[0] == 0.0:
             raise ValueError("denominator leading coefficient must be nonzero")
 
-    @property
-    def relative_degree(self) -> int:
-        num = np.trim_zeros(self.num, "f")
-        deg_num = len(num) - 1 if len(num) else -1
-        return (len(self.den) - 1) - deg_num
-
-    @property
-    def is_proper(self) -> bool:
-        return self.relative_degree >= 0
-
-    @property
-    def is_strictly_proper(self) -> bool:
-        return self.relative_degree >= 1
-
     def __call__(self, s):
         """Evaluate at complex frequency ``s`` (scalar or array)."""
         return np.polyval(self.num, s) / np.polyval(self.den, s)
@@ -146,25 +125,12 @@ class TransferFunction:
         return f"TransferFunction(num={self.num!r}, den={self.den!r})"
 
 
-def characteristic_polynomial(A: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial by the Faddeev-LeVerrier recursion."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    R = np.eye(n)
-    for k in range(1, n + 1):
-        M = A @ R
-        coeffs[k] = -np.trace(M) / k
-        R = M + coeffs[k] * np.eye(n)
-    return coeffs
-
-
-def transfer_from_state_space(A, B, c, d: float = 0.0) -> TransferFunction:
-    """Exact polynomial form of c (sI - A)^-1 B + d for a SISO channel.
+def transfer_from_state_space(A, B, c) -> TransferFunction:
+    """Exact polynomial form of c (sI - A)^-1 B for a SISO channel.
 
     Uses the Faddeev-LeVerrier adjugate expansion, so numerator and
-    denominator come out of one finite recursion instead of a fit.
+    denominator come out of one finite recursion instead of a fit; the
+    denominator is the monic characteristic polynomial of A.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float).reshape(-1)
@@ -181,6 +147,4 @@ def transfer_from_state_space(A, B, c, d: float = 0.0) -> TransferFunction:
         M = A @ R
         den[k] = -np.trace(M) / k
         R = M + den[k] * np.eye(n)
-    if d != 0.0:
-        num = num + d * den
     return TransferFunction(num, den)

@@ -64,7 +64,8 @@ def export_trace(trace: RunTrace, path) -> Path:
 
 
 def import_trace(path) -> RunTrace:
-    """Read back a trace written by export_trace."""
+    """Read back a trace written by export_trace; a missing header or a row
+    that is not one number per column raises ValueError naming the file."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -75,14 +76,21 @@ def import_trace(path) -> RunTrace:
     if lines and lines[0].startswith("#"):
         meta = _parse_meta_line(lines[0])
         idx = 1
-    header = lines[idx].split(",")
-    if tuple(header) != TRACE_COLUMNS:
-        raise ValueError(f"unexpected trace header in {path}")
-    rows = [line.split(",") for line in lines[idx + 1:] if line]
-    data = np.array([[float(v) for v in row] for row in rows]) if rows else \
-        np.zeros((0, len(TRACE_COLUMNS)))
-    columns = {name: data[:, j].copy() if len(rows) else np.zeros(0)
-               for j, name in enumerate(TRACE_COLUMNS)}
+    if idx >= len(lines) or tuple(lines[idx].split(",")) != TRACE_COLUMNS:
+        raise ValueError(f"missing or unexpected trace header in {path}")
+    rows = []
+    for lineno, line in enumerate(lines[idx + 1:], start=idx + 2):
+        if not line:
+            continue
+        cells = line.split(",")
+        try:
+            if len(cells) != len(TRACE_COLUMNS):
+                raise ValueError(f"{len(cells)} cells, expected {len(TRACE_COLUMNS)}")
+            rows.append([float(v) for v in cells])
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    data = np.array(rows).reshape(len(rows), len(TRACE_COLUMNS))
+    columns = {name: data[:, j].copy() for j, name in enumerate(TRACE_COLUMNS)}
     return RunTrace(columns=columns, meta=meta)
 
 

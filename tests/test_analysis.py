@@ -18,7 +18,7 @@ from sea_l1ac import (
     polynomial_roots,
     root_locus,
 )
-from sea_l1ac.analysis import hold_response, reference_loop_pieces
+from sea_l1ac.analysis import hold_response, reference_loop_pieces, shaping_filter_polynomials
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,7 @@ def test_expm_rejects_nonfinite():
 
 def test_hold_integral_matches_series(model):
     t = 1e-2
-    phi = hold_response(model.A_m, t)
+    _, phi = hold_response(model.A_m, t)
     series = np.zeros((4, 4))
     term = np.eye(4) * t
     for k in range(1, 25):
@@ -242,7 +242,6 @@ def test_reference_loop_pieces_are_strictly_stable(model):
 def test_disturbance_paths_vanish_with_perfect_cancellation(model):
     # the limit of an infinitely fast filter: 1 - C = 0, so G_1 = G_2 = 0
     from sea_l1ac.analysis import filtered_resolvent
-    from sea_l1ac.controllers import shaping_filter_polynomials
 
     _, den = shaping_filter_polynomials(0.01, 10.0)
     g1_limit = filtered_resolvent(model, model.B_m, np.array([0.0]), den)

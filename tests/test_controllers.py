@@ -14,11 +14,8 @@ from sea_l1ac import (
     gravity_torque,
     rrc_control,
 )
-from sea_l1ac.controllers import (
-    build_filter_bank,
-    discretize_filter_bank,
-    shaping_filter_polynomials,
-)
+from sea_l1ac.analysis import observable_realization, shaping_filter_polynomials
+from sea_l1ac.controllers import build_filter_bank, discretize_filter_bank
 from sea_l1ac.nominal import NominalModel
 from sea_l1ac.params import PlantState
 
@@ -70,7 +67,7 @@ def test_rrc_equilibrium_passes_observer_torque_through(params, gains):
     g = gravity_torque(params, q_d, params.m_0)
     state = PlantState(q=q_d, dq=0.0, theta=q_d + g / params.K_f, dtheta=0.0)
     dob_out = params.K_f * (state.theta - state.q)
-    tau = rrc_control(state, q_d, gains, g, dob_out, params)
+    tau = rrc_control(state.as_tuple(), q_d, gains, g, dob_out, params)
     assert tau == pytest.approx(dob_out, abs=1e-9)
 
 
@@ -147,7 +144,7 @@ def test_hold_integral_approaches_identity_for_tiny_period(model):
 
     dev = {}
     for t in (1e-6, 5e-7):
-        phi = hold_response(model.A_m, t)
+        _, phi = hold_response(model.A_m, t)
         dev[t] = np.max(np.abs(phi / t - np.eye(4)))
         assert dev[t] <= 0.6 * np.max(np.abs(model.A_m)) * t
     assert dev[5e-7] == pytest.approx(0.5 * dev[1e-6], rel=0.05)
@@ -188,14 +185,31 @@ def test_filter_dc_identity_unmatched_cancellation(controller, model):
     assert u2 == pytest.approx(-h_mum0 * sigma2[1], rel=1e-8)
 
 
+def _frequency_response(realization, s):
+    A, B, C, D = realization
+    return C @ np.linalg.solve(s * np.eye(A.shape[0]) - A, B) + D
+
+
 def test_realized_filter_matches_analytic_frequency_response(model):
+    # oracle: C(s) from its polynomials, and H_m^-1 H_um from the resolvent
+    # (sI - A_m)^-1 of the nominal model
     cfg = L1Config()
-    A, B, C, D = build_filter_bank(model, cfg)
     num, den = shaping_filter_polynomials(cfg.T, cfg.K_a)
-    s = 1j / cfg.T
-    realized = (C @ np.linalg.solve(s * np.eye(A.shape[0]) - A, B[:, 0]))[0]
-    analytic = np.polyval(num, s) / np.polyval(den, s)
-    assert abs(realized - analytic) / abs(analytic) < 1e-6
+    bank = build_filter_bank(model, cfg)
+    # a proper numerator, 1 - C(s), puts its direct part in D
+    one_minus_c = np.polysub(den, np.concatenate([np.zeros(len(den) - 1), num]))
+    proper = observable_realization([one_minus_c], den)
+    assert proper[3][0, 0] == 1.0
+    for w in (0.1, 3.0, 30.0, 1.0 / cfg.T, 1000.0):
+        s = 1j * w
+        c_of_s = np.polyval(num, s) / np.polyval(den, s)
+        resolvent = model.c @ np.linalg.inv(s * np.eye(4) - model.A_m)
+        analytic = c_of_s * np.concatenate(
+            [[1.0], resolvent @ model.B_um / (resolvent @ model.B_m)])
+        realized = _frequency_response(bank, s)[0]
+        assert np.all(np.abs(realized - analytic) <= 1e-9 * np.abs(analytic))
+        got = _frequency_response(proper, s)[0, 0]
+        assert abs(got - (1.0 - c_of_s)) <= 1e-9 * abs(1.0 - c_of_s)
 
 
 @pytest.mark.parametrize("T", [0.005, 0.01, 0.02])
@@ -235,7 +249,7 @@ def test_l1_step_idles_without_excitation(params, gains, model):
     ctl = L1Controller(params, gains, model, L1Config(), gravity_comp=False)
     ctl.reset(np.zeros(4))
     for _ in range(100):
-        tau = ctl.step(np.zeros(4), 0.0, 0.0)
+        tau = ctl.step(np.zeros(4), 0.0, 0.0)[0]
         assert tau == 0.0
 
 
@@ -245,7 +259,7 @@ def test_torque_limit_feeds_achieved_input_to_predictor(params, gains, model):
                        torque_limit=limit)
     ctl.reset(np.zeros(4))
     # a large observer feedforward forces the clip on the very first step
-    tau = ctl.step(np.zeros(4), 0.0, 100.0)
+    tau = ctl.step(np.zeros(4), 0.0, 100.0)[0]
     assert tau == limit
     # predictor saw the achieved matched input (tau - tau_dob)/J_m, not u2
     expected = ctl.Phi @ (model.B_m * ((limit - 100.0) / params.J_m))
@@ -294,7 +308,8 @@ def _assert_close(got, want, *terms):
 def _definition_step(ctl, x, q_d, tau_dob):
     """L1Controller.step written as its definition: adaptation, filter and
     predictor in turn, plus the gravity feedforward and the torque clamp.
-    Returns the torque and the trace hooks (xtilde_inf, u1, u2)."""
+    Returns the step record (tau_m, u1, u2, xtilde_inf, sigma22_hat, u_gc,
+    g_ff1)."""
     p, gains = ctl.params, ctl.gains
     x = np.asarray(x, dtype=float)
     x_tilde = ctl.x_hat - x
@@ -311,7 +326,7 @@ def _definition_step(ctl, x, q_d, tau_dob):
         tau_m = min(max(tau_m, -ctl.torque_limit), ctl.torque_limit)
     u2_effective = (tau_m - tau_dob) / p.J_m - u1 - u_gc
     ctl.predictor_step(u2_effective, matched_known=u_gc, unmatched_known=g_ff)
-    return tau_m, (float(np.max(np.abs(x_tilde))), u1, u2)
+    return tau_m, u1, u2, float(np.max(np.abs(x_tilde))), sigma2[1], u_gc, g_ff[1]
 
 
 def _bits(values):
@@ -342,10 +357,11 @@ def test_l1_step_reproduces_its_definition_bit_for_bit(params, gains, model, x0,
     batched.reset(np.array(x0))
     plain.reset(np.array(x0))
     for x, q_d, tau_dob in samples:
-        tau_m = batched.step(x, q_d, tau_dob)
-        want, hooks = _definition_step(plain, x, q_d, tau_dob)
-        assert _bits(tau_m) == _bits(want)
-        assert _bits([batched.xtilde_inf_last, batched.u1_last, batched.u2_last]) == _bits(hooks)
+        record = batched.step(x, q_d, tau_dob)
+        want = _definition_step(plain, x, q_d, tau_dob)
+        assert len(record) == len(want) == 7
+        for got_field, want_field in zip(record, want):
+            assert _bits(got_field) == _bits(want_field)
         assert _bits(batched.x_hat) == _bits(plain.x_hat)
         assert _bits(batched._zf) == _bits(plain._zf)
         assert _bits([batched.sigma1_hat, *batched.sigma2_hat]) == \

@@ -335,6 +335,35 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys, loader, text, section,
     assert '"error": "config"' in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("loader, section, key, value", [
+    ("run", "tuning", "observer_bandwidth", "nan"),
+    ("run", "tuning", "sample_period", "nan"),
+    ("run", "environment", "contact_stiffness", "nan"),
+    ("run", "plant", "K_f", "inf"),
+    ("rootlocus", "rootlocus", "lambda_max", "inf"),
+    ("condition", "condition", "masses", "1.5 inf"),
+    ("condition", "condition", "filter_time_constants", "0.01, -inf"),
+])
+def test_nonfinite_config_value_is_rejected(tmp_path, capsys, loader, section, key, value):
+    from sea_l1ac.config_io import condition_job_from_ini, rootlocus_job_from_ini, scenario_from_ini
+
+    text = f"[{section}]\n{key} = {value}\n"
+    if loader == "run":
+        text = "[scenario]\nname = s\n\n" + text
+    ini = tmp_path / "nonfinite.ini"
+    ini.write_text(text)
+    load = {"run": scenario_from_ini, "rootlocus": rootlocus_job_from_ini,
+            "condition": condition_job_from_ini}[loader]
+    with pytest.raises(ConfigError) as exc_info:
+        load(ini)
+    message = str(exc_info.value)
+    assert str(ini) in message and f"[{section}] {key}:" in message
+    argv = ["run", str(ini)] if loader == "run" else ["analyze", loader, str(ini)]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    assert '"error": "config"' in capsys.readouterr().err
+    assert not (tmp_path / "out" / "s.csv").exists()
+
+
 def test_shipped_load_variation_suite_reproduces_the_comparison():
     from sea_l1ac.config_io import suite_from_ini
 
@@ -416,13 +445,52 @@ def test_cli_suite(tmp_path):
     assert (out / "one.csv").exists() and (out / "two.csv").exists()
 
 
-@pytest.mark.parametrize("flag", ["--decimate", "--ts"])
-def test_cli_suite_rejects_zero_override(tmp_path, capsys, flag):
+@pytest.mark.parametrize("flag, value", [
+    ("--decimate", "0"), ("--ts", "0"), ("--ts", "nan"), ("--t-filter", "inf"), ("--ka", "nan"),
+], ids=["--decimate", "--ts", "--ts-nan", "--t-filter-inf", "--ka-nan"])
+def test_cli_suite_rejects_zero_override(tmp_path, capsys, flag, value):
     manifest = _write_suite(tmp_path)
     out = tmp_path / "res"
-    assert main(["suite", str(manifest), "--out-dir", str(out), flag, "0"]) == 2
-    assert '"error": "config"' in capsys.readouterr().err
+    assert main(["suite", str(manifest), "--out-dir", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert '"error": "config"' in err
+    if value != "0":
+        assert f"argument {flag}:" in err
     assert not (out / "one.csv").exists()
+
+
+@pytest.mark.parametrize("text, where", [
+    ("", ""),
+    ("# name=x\n", ""),
+    ("# name=x\n" + ",".join(TRACE_COLUMNS) + "\n0.0,1.0,2.0\n", "line 3"),
+], ids=["empty", "metadata-only", "short-row"])
+def test_malformed_trace_is_rejected(tmp_path, capsys, text, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc_info:
+        import_trace(path)
+    assert str(path) in str(exc_info.value) and where in str(exc_info.value)
+    assert main(["metrics", str(path)]) == 2
+    assert '"error": "config"' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("manifest", ["load_variation_suite.ini", "collision_suite.ini"])
+def test_cli_metrics_on_suite_traces_match_the_summary(tmp_path, capsys, manifest):
+    import csv
+    import json
+
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    out = tmp_path / "res"
+    assert main(["suite", str(configs / manifest), "--out-dir", str(out)]) == 0
+    (summary,) = out.glob("*_summary.csv")
+    rows = list(csv.DictReader(summary.open()))
+    assert len(rows) == 6
+    capsys.readouterr()
+    for row in rows:
+        assert main(["metrics", str(out / f"{row['scenario']}.csv")]) == 0
+        got = json.loads(capsys.readouterr().out)
+        for key, value in got.items():
+            assert row[key] == ("" if value is None else repr(value)), (row["scenario"], key)
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
