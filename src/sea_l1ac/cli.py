@@ -170,7 +170,10 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_metrics(args) -> int:
     trace = import_trace(args.trace)
-    report = compute_metrics(trace)
+    try:
+        report = compute_metrics(trace)
+    except ValueError as exc:
+        raise ValueError(f"{args.trace}: {exc}") from None
     print(json.dumps({
         "static_error_rad": report.static_error_rad,
         "overshoot_pct": report.overshoot_pct,

@@ -58,7 +58,7 @@ class DobConfig:
     g_ob: float = 500.0
 
     def __post_init__(self):
-        if self.g_ob <= 0.0:
+        if not 0.0 < self.g_ob < math.inf:  # nan and inf fail too
             raise ValueError("observer bandwidth must be positive")
 
 
@@ -168,11 +168,12 @@ class L1Config:
     K_a: float = 10.0
 
     def __post_init__(self):
-        if self.T_s <= 0.0:
+        # written so that nan fails every check; the upper limits reject inf
+        if not 0.0 < self.T_s < math.inf:
             raise ValueError("T_s must be positive")
-        if self.T <= self.T_s:
+        if not self.T_s < self.T < math.inf:
             raise ValueError("filter time constant T must exceed the period T_s")
-        if self.K_a <= 0.0:
+        if not 0.0 < self.K_a < math.inf:
             raise ValueError("K_a must be positive")
 
 

@@ -51,13 +51,18 @@ def _parse_meta_line(line: str) -> dict:
 def export_trace(trace: RunTrace, path) -> Path:
     """Write a trace to ``path``; returns the path written."""
     path = Path(path)
+    # .tolist() yields the Python floats whose repr is the shortest round trip
+    rows = np.asarray(
+        np.column_stack([trace.columns[name] for name in TRACE_COLUMNS]), dtype=float
+    ).tolist()
+    text = "".join([
+        _meta_line(trace.meta) + "\n",
+        ",".join(TRACE_COLUMNS) + "\n",
+        *(",".join(map(repr, row)) + "\n" for row in rows),
+    ])
     try:
         with path.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_meta_line(trace.meta) + "\n")
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
-            arrays = [trace.columns[name] for name in TRACE_COLUMNS]
-            for i in range(len(trace)):
-                fh.write(",".join(repr(float(a[i])) for a in arrays) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
     return path

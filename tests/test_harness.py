@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import sea_l1ac
 from sea_l1ac import (
     ConfigError,
+    DobConfig,
+    L1Config,
     RunTrace,
     ScenarioConfig,
     SuiteConfig,
@@ -25,7 +27,8 @@ from sea_l1ac import (
     summary_table,
 )
 from sea_l1ac.cli import main
-from sea_l1ac.harness import TRACE_COLUMNS
+from sea_l1ac.harness import TRACE_COLUMNS, _rise_delay
+from sea_l1ac.traceio import _meta_line
 
 
 def _quick(name="quick", **kw):
@@ -53,6 +56,30 @@ def test_config_rejects_unknown_controller():
 def test_config_rejects_bad_duration():
     with pytest.raises(ConfigError):
         ScenarioConfig(duration=0.0)
+
+
+@pytest.mark.parametrize("factory, kwargs", [
+    (L1Config, {"T_s": math.nan}),
+    (L1Config, {"T_s": math.inf}),
+    (L1Config, {"T": math.nan}),
+    (L1Config, {"T": math.inf}),
+    (L1Config, {"K_a": math.nan}),
+    (L1Config, {"K_a": math.inf}),
+    (DobConfig, {"g_ob": math.nan}),
+    (DobConfig, {"g_ob": math.inf}),
+    (ScenarioConfig, {"duration": math.nan}),
+    (ScenarioConfig, {"duration": math.inf}),
+    (ScenarioConfig, {"T_s": math.nan}),
+    (ScenarioConfig, {"substeps": math.nan}),
+    (ScenarioConfig, {"decimate": math.inf}),
+    (ScenarioConfig, {"mass": math.nan}),
+    (ScenarioConfig, {"mass": math.inf}),
+    (ScenarioConfig, {"torque_limit": math.nan}),
+    (ScenarioConfig, {"torque_limit": math.inf}),
+], ids=lambda v: v.__name__ if isinstance(v, type) else "-".join(f"{k}={x}" for k, x in v.items()))
+def test_config_dataclasses_reject_nonfinite(factory, kwargs):
+    with pytest.raises(ValueError, match="must"):
+        factory(**kwargs)
 
 
 def test_reference_tracking_needs_adaptive_controller():
@@ -103,6 +130,28 @@ def test_round_trip_exact_for_any_printable_name(tmp_path_factory, name):
     assert back.meta["name"] == name
     assert p1.read_bytes() == export_trace(back, out / "b.csv").read_bytes()
     assert p1.read_text(encoding="utf-8").splitlines()[0].startswith("# ")
+
+
+_SPECIAL_CELLS = (-0.0, 0.0, 5e-324, 1.5e-310, 1e16, 1e-5, 1e-4, math.nan, math.inf, -math.inf)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_export_writes_the_repr_of_every_cell(tmp_path_factory, data):
+    rows = data.draw(st.integers(0, 6))
+    cell = st.sampled_from(_SPECIAL_CELLS) | st.floats()
+    columns = {name: np.array(data.draw(st.lists(cell, min_size=rows, max_size=rows)),
+                              dtype=float) for name in TRACE_COLUMNS}
+    trace = RunTrace(columns=columns, meta={"name": "cells", "q_d_amplitude": 1.0})
+    out = tmp_path_factory.mktemp("cells")
+    p1 = export_trace(trace, out / "a.csv")
+    # the per-cell formula export_trace must keep writing
+    expected = _meta_line(trace.meta) + "\n" + ",".join(TRACE_COLUMNS) + "\n" + "".join(
+        ",".join(repr(float(columns[name][i])) for name in TRACE_COLUMNS) + "\n"
+        for i in range(rows)
+    )
+    assert p1.read_bytes() == expected.encode("utf-8")
+    assert export_trace(import_trace(p1), out / "b.csv").read_bytes() == p1.read_bytes()
 
 
 def test_export_header_lists_exact_columns(tmp_path):
@@ -172,6 +221,89 @@ def test_metrics_empty_trace_rejected(params):
                                                      "q_d_start": 0.0})
     with pytest.raises(ValueError):
         compute_metrics(trace)
+
+
+def test_metrics_name_the_missing_metadata_key(tmp_path, capsys):
+    path = tmp_path / "bare.csv"
+    path.write_text(",".join(TRACE_COLUMNS) + "\n" + ",".join(["0.0"] * len(TRACE_COLUMNS)) + "\n")
+    with pytest.raises(ValueError, match="q_d_amplitude"):
+        compute_metrics(import_trace(path))
+    assert main(["metrics", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert '"error": "config"' in err and str(path) in err and "q_d_amplitude" in err
+
+
+def _rise_delay_oracle(t, q, amplitude, start, omega, max_shift=0.5, step=1e-3):
+    """The loop over every shift that _rise_delay must agree with exactly."""
+    shifts = np.arange(0.0, max_shift + step / 2, step)
+    best_shift, best_cost = 0.0, math.inf
+    for shift in shifts:
+        ref = analytic_nominal_response(amplitude, omega, t - start - shift)
+        cost = float(np.sum((q - ref) ** 2))
+        if cost < best_cost:
+            best_cost, best_shift = cost, float(shift)
+    return best_shift
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    T_s=st.sampled_from([0.5e-3, 1e-3, 2e-3]),
+    decimate=st.sampled_from([1, 2, 4]),
+    duration=st.floats(0.02, 1.2),
+    amplitude=st.sampled_from([0.0, math.pi / 2, -0.8]) | st.floats(-3.0, 3.0),
+    start=st.sampled_from([0.0, 0.25]) | st.floats(0.0, 0.4),
+    true_shift=st.floats(0.0, 0.6),
+    noise=st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.3]),
+    jitter=st.sampled_from([0.0, 1e-12, 1e-8, 0.3]),
+    omega=st.sampled_from([benchmark_params().omega]) | st.floats(2.0, 400.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(T_s=1e-3, decimate=1, duration=1.0, amplitude=0.0, start=0.0, true_shift=0.1,
+         noise=1e-3, jitter=0.0, omega=benchmark_params().omega, seed=1)
+@example(T_s=1e-3, decimate=1, duration=1.0, amplitude=math.pi / 2, start=0.05, true_shift=0.1,
+         noise=0.0, jitter=0.0, omega=benchmark_params().omega, seed=3)
+@example(T_s=0.5e-3, decimate=1, duration=0.8, amplitude=-0.8, start=0.1, true_shift=0.0415,
+         noise=0.0, jitter=0.0, omega=benchmark_params().omega, seed=2)
+def test_rise_delay_matches_the_loop_over_every_shift(T_s, decimate, duration, amplitude, start,
+                                                      true_shift, noise, jitter, omega, seed):
+    rng = np.random.default_rng(seed)
+    # the harness records t = i * T_s for every decimate-th step i
+    t = np.arange(0, max(1, int(round(duration / T_s))), decimate) * T_s
+    t = t + jitter * decimate * T_s * rng.uniform(-1.0, 1.0, len(t))
+    q = analytic_nominal_response(amplitude, omega, t - start - true_shift)
+    q = q + noise * (abs(amplitude) + 0.1) * rng.standard_normal(len(t))
+    args = (t, q, amplitude, start, omega)
+    assert _rise_delay(*args) == _rise_delay_oracle(*args)
+
+
+def test_rise_delay_on_a_grid_far_finer_than_the_shift_step():
+    # 1e-12 s spacing divides the 1 ms step 1e9 times; extending this grid
+    # back by 0.5 s would take 5e11 samples
+    t = np.arange(50) * 1e-12
+    q = np.linspace(0.0, 1e-3, 50)
+    args = (t, q, 1.0, 0.0, benchmark_params().omega)
+    assert _rise_delay(*args) == _rise_delay_oracle(*args)
+
+
+def test_rise_delay_keeps_the_first_of_two_tied_shifts():
+    # At omega = 1e5 rad/s the response rises within one 1 ms sample, so
+    # shift a has one rising sample (index a) and shift a + 1 the next one.
+    # q halfway between the two delayed responses gives both shifts the same
+    # squared errors, and so bit-equal costs, whenever the halving is exact.
+    omega, a = 1e5, 120
+    shifts = np.arange(0.0, 0.5 + 0.5e-3, 1e-3)
+    ties = 0
+    for phase in np.linspace(0.011, 0.089, 24):
+        t = (np.arange(400) + phase) * 1e-3
+        ref_a = analytic_nominal_response(1.0, omega, t - 0.0 - shifts[a])
+        ref_b = analytic_nominal_response(1.0, omega, t - 0.0 - shifts[a + 1])
+        q = (ref_a + ref_b) / 2.0
+        if np.sum((q - ref_a) ** 2) != np.sum((q - ref_b) ** 2):
+            continue
+        ties += 1
+        assert _rise_delay_oracle(t, q, 1.0, 0.0, omega) == shifts[a]
+        assert _rise_delay(t, q, 1.0, 0.0, omega) == shifts[a]
+    assert ties >= 8
 
 
 # ---------------------------------------------------------------------------
