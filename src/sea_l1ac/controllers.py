@@ -20,7 +20,9 @@ same floating-point operations as the three methods ``adaptation_update``,
 ``l1_control_update`` and ``predictor_step``; those remain the definition,
 and step() reproduces them bit for bit, so recorded traces do not depend on
 which form ran. ``ReferenceSystem``, whose state only feeds a diagnostic,
-evaluates its filter and hold as one precomputed affine map.
+evaluates its filter and hold as one precomputed affine map: ``step``
+advances it one sample and is its definition, ``run`` marches a whole input
+sequence at once in blocks and agrees with ``step`` in a loop to rounding.
 
 Both controllers' ``step(x, q_d, tau_dob)`` return the step record, a plain
 tuple ``(tau_m, u1, u2, xtilde_inf, sigma22_hat, u_gc, g_ff1)``: torque,
@@ -39,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve
+from numpy.linalg import solve
 
 from .analysis import hold_response, observable_realization, shaping_filter_polynomials
 from .nominal import NominalModel, RrcGains
@@ -422,7 +424,9 @@ class ReferenceSystem:
     the estimation error.
 
     Filter and hold form one affine map, so ``step`` is one precomputed
-    matrix product; it agrees with the unfused formula to rounding.
+    matrix product; it agrees with the unfused formula to rounding. ``run``
+    applies the same map to a whole input sequence without a per-sample
+    Python call.
     """
 
     def __init__(self, model: NominalModel, cfg: L1Config):
@@ -450,6 +454,10 @@ class ReferenceSystem:
         ])
         x_next -= np.outer(self.Phi @ model.B_m, y[0])
         self._G = np.vstack([x_next, np.hstack([self.Bd @ v, self.Ad]), y])
+        # the same sample as s+ = M s + N u on s = [x_r; z_f], u = w[4:13]
+        state = np.r_[0:4, 13:13 + nf]
+        self._M = self._G[:4 + nf, state]
+        self._N = self._G[:4 + nf, 4:13]
         self._w = np.zeros(self._G.shape[1])
         self._zf = self._w[13:]
         self._rows_zf = slice(4, 4 + nf)
@@ -483,3 +491,44 @@ class ReferenceSystem:
         w[:4] = self.x_r
         self.u2r = -float(out[-1])
         return self.x_r
+
+    def run(self, x0, inputs) -> np.ndarray:
+        """x_r after each of ``len(inputs)`` samples from ``reset(x0)``.
+
+        Row k of ``inputs`` holds sample k's arguments of ``step`` in order:
+        sigma1_true, sigma2_true (3), q_d, matched_known, unmatched_known (3).
+        Row k of the result is what the (k+1)-th ``step`` returns, to
+        rounding. The instance's own state is left alone.
+
+        The recurrence s+ = M s + N u is marched in blocks of b = isqrt(n)
+        samples: each block's response from a zero start (one product per
+        in-block index over all blocks at once), then the block starts in
+        one short loop, then the start's free response through the stacked
+        powers M, ..., M^b, added to the zero-start part.
+        """
+        u = np.asarray(inputs, dtype=float).reshape(-1, 9)
+        n, ns = len(u), self._M.shape[0]
+        if n == 0:
+            return np.empty((0, 4))
+        b = math.isqrt(n)
+        blocks = -(-n // b)
+        M = self._M
+        drive = np.zeros((blocks * b, ns))
+        drive[:n] = u @ self._N.T
+        drive = drive.reshape(blocks, b, ns)
+        forced = np.empty_like(drive)
+        forced[:, 0] = drive[:, 0]
+        for m in range(1, b):
+            forced[:, m] = forced[:, m - 1] @ M.T + drive[:, m]
+        powers = [M]
+        for _ in range(b - 1):
+            powers.append(M @ powers[-1])
+        starts = np.empty((blocks, ns))
+        starts[0, :4] = x0
+        starts[0, 4:] = 0.0
+        for j in range(1, blocks):
+            starts[j] = powers[-1] @ starts[j - 1] + forced[j - 1, -1]
+        # free[m, j] = M^(m+1) starts[j], x_r rows only
+        free = starts @ np.stack(powers)[:, :4].transpose(0, 2, 1)
+        x_r = free.transpose(1, 0, 2) + forced[:, :, :4]
+        return x_r.reshape(-1, 4)[:n]

@@ -10,7 +10,10 @@ same trace.
 from __future__ import annotations
 
 import math
+import numbers
+from array import array
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .controllers import (
 )
 from .nominal import build_nominal_model, build_rrc_gains
 from .params import EnvironmentModel, PlantParams, benchmark_params
-from .plant import _rk4_tuple, contact_torque, gravity_torque
+from .plant import _link_gravity_gains, _rk4_tuple, contact_torque, gravity_gain
 
 
 class ConfigError(ValueError):
@@ -150,19 +153,42 @@ class MetricsReport:
     peak_speed_after_contact: float | None
 
 
-def _target(cfg_t: float, amplitude: float, start: float) -> float:
-    return amplitude if cfg_t >= start - 1e-12 else 0.0
+def _columns(rows: array) -> dict:
+    data = np.array(rows).reshape(-1, len(TRACE_COLUMNS))
+    data = np.ascontiguousarray(data.T)  # row j is TRACE_COLUMNS[j]
+    return {name: data[j] for j, name in enumerate(TRACE_COLUMNS)}
 
 
-def _columns(data: np.ndarray, rows: int) -> dict:
-    return {name: data[j, :rows] for j, name in enumerate(TRACE_COLUMNS)}
+def _reference_error(reference: ReferenceSystem, log: array, x_final,
+                     params: PlantParams, env: EnvironmentModel, gravity_on: bool) -> float:
+    """max |x_r(k) - x(k)| over the four states and k = 1 .. n.
 
-
-def _diagnostics(xtilde_max: float, ref_err_max: float, reference) -> dict:
-    aux = {"xtilde_max": xtilde_max}
-    if reference is not None:
-        aux["ref_err_max"] = ref_err_max
-    return aux
+    ``log`` holds one row (x, tau_dob, q_d, u_gc, g_ff1) per controller
+    step k = 0 .. n - 1 and ``x_final`` is x(n); None means the run
+    diverged in the last logged step, whose x is then x(n). The reference
+    system starts from x(0), driven by the true disturbances the log
+    implies.
+    """
+    steps = np.array(log).reshape(-1, 8)
+    if x_final is None:
+        steps, x_final = steps[:-1], steps[-1, :4]
+    n = len(steps)
+    if n == 0:
+        return 0.0
+    q, _, theta, dtheta, tau_dob, q_d, u_gc, g_ff1 = steps.T
+    tau_spring = params.K_f * (theta - q)
+    link_torque = np.fromiter(map(partial(contact_torque, env), q.tolist()), float, n)
+    if gravity_on:
+        link_torque = link_torque + gravity_gain(params, params.m) * np.sin(q)
+    u = np.zeros((n, 9))  # the arguments of ReferenceSystem.step, in order
+    u[:, 0] = (tau_dob - params.f_m * dtheta - tau_spring) / params.J_m
+    u[:, 2] = -link_torque / params.J_a - g_ff1
+    u[:, 4] = q_d
+    u[:, 5] = u_gc
+    u[:, 7] = g_ff1
+    x_r = reference.run(steps[0, :4], u)
+    x = np.vstack([steps[1:, :4], x_final])
+    return float(np.max(np.abs(x_r - x)))
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunTrace:
@@ -172,6 +198,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
     observer, which needs the fastest rate available) advance ``substeps``
     times per controller step. Raises SimulationDivergence with the partial
     trace attached if the state stops being finite.
+
+    With ``track_reference`` the loop records each step's state and the
+    reference inputs; the reference system then runs once over them after
+    the loop (its state never feeds back), and ``aux["ref_err_max"]`` is
+    max |x_r(k) - x(k)| at the sample instants k T_s, k = 1 .. n, where
+    x(n) is the state after the last step.
     """
     params = cfg.make_params()
     env = cfg.make_environment()
@@ -204,10 +236,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
             raise ConfigError("reference tracking needs the adaptive controller")
         reference = ReferenceSystem(model, L1Config(T_s=cfg.T_s, T=cfg.T, K_a=cfg.K_a))
 
-    n_steps = int(round(cfg.duration / cfg.T_s))
-    n_rows = (n_steps + cfg.decimate - 1) // cfg.decimate
-    data = np.zeros((len(TRACE_COLUMNS), n_rows))  # row j is TRACE_COLUMNS[j]
-
     meta = {
         "name": cfg.name,
         "controller": cfg.controller,
@@ -219,58 +247,51 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
         "K_t": params.K_t,
         "omega": params.omega,
     }
-    xtilde_max = ref_err_max = 0.0
+
+    # the loop reads locals only; the step command q_d switches on at
+    # q_d_start, 1e-12 s early so that a start on the sample grid is met
+    T_s, decimate, substeps, K_t = cfg.T_s, cfg.decimate, cfg.substeps, params.K_t
+    amplitude, switch_on = cfg.q_d_amplitude, cfg.q_d_start - 1e-12
+    ideal_dob, tracking = cfg.ideal_dob, reference is not None
+    gravity_gains = _link_gravity_gains(params, env, cfg.gravity_on)
+    control, isfinite = controller.step, math.isfinite
+    rows, log = array("d"), array("d")  # trace rows; reference log, every step
+    record_row, record_step = rows.extend, log.extend
+    xtilde_max = 0.0
+
+    def finish(x_final):
+        # the trace so far; x_final is x(n), or None after a divergence
+        aux = {"xtilde_max": xtilde_max}
+        if tracking:
+            aux["ref_err_max"] = _reference_error(reference, log, x_final, params, env,
+                                                  cfg.gravity_on)
+        return RunTrace(columns=_columns(rows), meta=meta, aux=aux)
+
     x = (0.0, 0.0, 0.0, 0.0)
-    row = 0
-    for i in range(n_steps):
-        t = i * cfg.T_s
-        q_d = _target(t, cfg.q_d_amplitude, cfg.q_d_start)
-        if cfg.ideal_dob:
+    for i in range(int(round(cfg.duration / T_s))):
+        t = i * T_s
+        q_d = amplitude if t >= switch_on else 0.0
+        if ideal_dob:
             tau_dob = ideal_motor_side_compensation(x, params)
         else:
             tau_dob = dob.estimate(x[3])
-        tau_m, u1, u2, xtilde_inf, sigma22_hat, u_gc, g_ff1 = controller.step(x, q_d, tau_dob)
+        tau_m, u1, u2, xtilde_inf, sigma22_hat, u_gc, g_ff1 = control(x, q_d, tau_dob)
+        if tracking:
+            record_step((*x, tau_dob, q_d, u_gc, g_ff1))
+        if xtilde_inf > xtilde_max:
+            xtilde_max = xtilde_inf
+        if i % decimate == 0:
+            record_row((t, *x, tau_m, tau_m / K_t, sigma22_hat, xtilde_inf, u1, u2))
 
-        if reference is not None:
-            q, dq, theta, dtheta = x
-            tau_spring = params.K_f * (theta - q)
-            sigma1_true = (tau_dob - params.f_m * dtheta - tau_spring) / params.J_m
-            link_torque = contact_torque(env, q)
-            if cfg.gravity_on:
-                link_torque += gravity_torque(params, q, params.m)
-            x_r = reference.step(
-                sigma1_true,
-                (0.0, -link_torque / params.J_a - g_ff1, 0.0),
-                q_d,
-                matched_known=u_gc,
-                unmatched_known=(0.0, g_ff1, 0.0),
-            )
-            r0, r1, r2, r3 = x_r.tolist()
-            ref_err_max = max(ref_err_max, abs(r0 - q), abs(r1 - dq),
-                              abs(r2 - theta), abs(r3 - dtheta))
-
-        xtilde_max = max(xtilde_max, xtilde_inf)
-
-        if i % cfg.decimate == 0:
-            data[:, row] = (t, *x, tau_m, tau_m / params.K_t, sigma22_hat, xtilde_inf, u1, u2)
-            row += 1
-
-        for _ in range(cfg.substeps):
+        for _ in range(substeps):
             if dob is not None:
                 dob.advance(tau_m, x[3])
-            x = _rk4_tuple(x, tau_m, h, params, env, cfg.gravity_on)
-            if not all(map(math.isfinite, x)):
-                partial = RunTrace(
-                    columns=_columns(data, row),
-                    meta=meta,
-                    aux=_diagnostics(xtilde_max, ref_err_max, reference),
-                )
+            x = _rk4_tuple(x, tau_m, h, params, env, gravity_gains)
+            if not all(map(isfinite, x)):
                 raise SimulationDivergence(
-                    f"state diverged at t={t:.4f} s in scenario {cfg.name!r}", partial
+                    f"state diverged at t={t:.4f} s in scenario {cfg.name!r}", finish(None)
                 )
-
-    return RunTrace(columns=_columns(data, row), meta=meta,
-                    aux=_diagnostics(xtilde_max, ref_err_max, reference))
+    return finish(x)
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +303,15 @@ def compute_metrics(trace: RunTrace, cfg: ScenarioConfig | None = None) -> Metri
     if len(trace) == 0:
         raise ValueError("trace is empty")
     meta = trace.meta
-    amplitude = cfg.q_d_amplitude if cfg is not None else _meta_value(meta, "q_d_amplitude")
-    start = cfg.q_d_start if cfg is not None else _meta_value(meta, "q_d_start")
-    omega = meta.get("omega", benchmark_params().omega)
-    k_e = cfg.contact_stiffness if cfg is not None else meta.get("contact_stiffness", 0.0)
-    q_0 = cfg.contact_position if cfg is not None else meta.get("contact_position", 0.0)
+    omega = _meta_value(meta, "omega", benchmark_params().omega)
+    if cfg is not None:
+        amplitude, start = cfg.q_d_amplitude, cfg.q_d_start
+        k_e, q_0 = cfg.contact_stiffness, cfg.contact_position
+    else:
+        amplitude = _meta_value(meta, "q_d_amplitude")
+        start = _meta_value(meta, "q_d_start")
+        k_e = _meta_value(meta, "contact_stiffness", 0.0)
+        q_0 = _meta_value(meta, "contact_position", 0.0)
 
     t = trace["t_s"]
     q = trace["q_rad"]
@@ -321,11 +346,15 @@ def compute_metrics(trace: RunTrace, cfg: ScenarioConfig | None = None) -> Metri
     )
 
 
-def _meta_value(meta: dict, key: str):
-    try:
-        return meta[key]
-    except KeyError:
-        raise ValueError(f"trace metadata has no {key!r}") from None
+def _meta_value(meta: dict, key: str, default: float | None = None) -> float:
+    """``meta[key]`` (or ``default`` when given and the key is absent) as a
+    finite float; ValueError names the key otherwise."""
+    if key not in meta and default is None:
+        raise ValueError(f"trace metadata has no {key!r}")
+    value = meta.get(key, default)
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"trace metadata {key}={value!r} is not a finite number")
+    return float(value)
 
 
 def _settling_time(t, q, amplitude, start) -> float | None:

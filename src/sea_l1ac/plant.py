@@ -115,15 +115,17 @@ def integrate_step(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    out = _rk4_tuple(state.as_tuple(), tau_m, dt, params, env, gravity_on)
+    gains = _link_gravity_gains(params, env, gravity_on)
+    out = _rk4_tuple(state.as_tuple(), tau_m, dt, params, env, gains)
     if not all(map(math.isfinite, out)):
         raise ArithmeticError("state became non-finite during integration")
     return PlantState(*out)
 
 
-def _rk4_tuple(x, tau_m, dt, params, env, gravity_on):
+def _rk4_tuple(x, tau_m, dt, params, env, gains):
+    # one RK4 step on a 4-tuple; ``gains`` is _link_gravity_gains(...), which
+    # a caller stepping many times computes once
     q, dq, th, dth = x
-    gains = _link_gravity_gains(params, env, gravity_on)
     k1 = _derivative(q, dq, th, dth, tau_m, params, env, gains)
     h2 = dt * 0.5
     k2 = _derivative(

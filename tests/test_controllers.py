@@ -394,3 +394,40 @@ def test_fused_reference_step_matches_unfused_formula(model, x0, samples):
         _assert_close(got, x_r, *x_terms, ref.Phi @ model.B_m * u2r)
         _assert_close(ref._zf, zf, *zf_terms)
         _assert_close(ref.u2r, u2r, *filter_terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    T_s=st.floats(5e-4, 4e-3),
+    K_a=st.floats(1.0, 20.0),
+    T_frac=st.floats(0.0, 1.0),
+    n=st.one_of(st.integers(1, 20), st.integers(1, 3000)),
+    seed=st.integers(0, 2**32 - 1),
+    walk=st.booleans(),
+)
+def test_reference_run_matches_a_loop_of_step(model, T_s, K_a, T_frac, n, seed, walk):
+    # C(s) is stable iff K_a T < 8/9 (Routh on s (T s + 1)^3 + K_a); T spans
+    # 5 ms up to min(40 ms, 0.8 / K_a)
+    T = 5e-3 + T_frac * (min(0.04, 0.8 / K_a) - 5e-3)
+    ref = ReferenceSystem(model, L1Config(T_s=T_s, T=T, K_a=K_a))
+    rng = np.random.default_rng(seed)
+    scale = np.array([20.0, 5.0, 50.0, 5.0, 2.0, 50.0, 5.0, 50.0, 5.0])
+    inputs = rng.standard_normal((n, 9)) * scale
+    if walk:  # slowly varying inputs, like a closed-loop log
+        inputs = np.cumsum(inputs, axis=0) / np.sqrt(n)
+    x0 = rng.standard_normal(4)
+
+    got = ref.run(x0, inputs)
+    ref.reset(x0)
+    want = np.array([ref.step(u[0], u[1:4], u[4], u[5], u[6:9]).copy() for u in inputs])
+    # the bound: 1e-12 of the peak |x_r|; the block march and the per-sample
+    # product round differently, by about 1e-14 of the peak
+    assert got.shape == (n, 4)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # run neither reads nor moves the state that step advances
+    assert np.array_equal(ref.run(x0, inputs), got)
+    assert np.array_equal(ref.x_r, want[-1])
+
+
+def test_reference_run_of_no_samples(model):
+    assert ReferenceSystem(model, L1Config()).run(np.zeros(4), np.zeros((0, 9))).shape == (0, 4)

@@ -87,6 +87,41 @@ def test_reference_tracking_needs_adaptive_controller():
         run_scenario(_quick(controller="rrc", track_reference=True))
 
 
+@pytest.mark.parametrize("contact_stiffness", [0.0, 500.0])
+def test_reference_error_compares_the_same_sample_instants(contact_stiffness):
+    # l1ac-nogc with the ideal observer and no substeps: every reference input
+    # is a function of the trace row, so the oracle rebuilds them and steps
+    # ReferenceSystem.step itself; x_r(k) is compared with x(k) for k = 1..n
+    from sea_l1ac.controllers import ReferenceSystem, ideal_motor_side_compensation
+    from sea_l1ac.nominal import build_nominal_model, build_rrc_gains
+    from sea_l1ac.plant import _link_gravity_gains, _rk4_tuple, contact_torque, gravity_torque
+
+    cfg = _quick(controller="l1ac-nogc", ideal_dob=True, substeps=1, mass=2.25,
+                 duration=1.0, track_reference=True,
+                 contact_stiffness=contact_stiffness, contact_position=1.2)
+    trace = run_scenario(cfg)
+    params, env = cfg.make_params(), cfg.make_environment()
+    model = build_nominal_model(params, build_rrc_gains(params))
+    ref = ReferenceSystem(model, L1Config(T_s=cfg.T_s, T=cfg.T, K_a=cfg.K_a))
+    cols = ("q_rad", "dq_rad_per_s", "theta_rad", "dtheta_rad_per_s")
+    xs = np.column_stack([trace[c] for c in cols])
+    final = _rk4_tuple(tuple(xs[-1]), float(trace["tau_m_Nm"][-1]), cfg.T_s, params, env,
+                       _link_gravity_gains(params, env, cfg.gravity_on))
+    after = np.vstack([xs[1:], final])  # x(k + 1), the state each step leads to
+    worst = 0.0
+    for t, x, x_next in zip(trace["t_s"], xs, after):
+        q, _, theta, dtheta = x
+        tau_dob = ideal_motor_side_compensation(x, params)
+        sigma1 = (tau_dob - params.f_m * dtheta - params.K_f * (theta - q)) / params.J_m
+        link = contact_torque(env, q) + gravity_torque(params, q, params.m)
+        q_d = cfg.q_d_amplitude if t >= cfg.q_d_start else 0.0
+        x_r = ref.step(sigma1, (0.0, -link / params.J_a, 0.0), q_d)
+        worst = max(worst, float(np.max(np.abs(x_r - x_next))))
+    assert len(trace) == 1000 and worst > 0.0
+    assert np.max(trace["q_rad"]) > cfg.contact_position  # the wall, when there is one, is hit
+    assert trace.aux["ref_err_max"] == pytest.approx(worst, rel=1e-9, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # determinism and export round trip
 # ---------------------------------------------------------------------------
@@ -231,6 +266,24 @@ def test_metrics_name_the_missing_metadata_key(tmp_path, capsys):
     assert main(["metrics", str(path)]) == 2
     err = capsys.readouterr().err
     assert '"error": "config"' in err and str(path) in err and "q_d_amplitude" in err
+
+
+@pytest.mark.parametrize("key", ["q_d_amplitude", "q_d_start", "omega",
+                                 "contact_stiffness", "contact_position"])
+@pytest.mark.parametrize("raw", ["abc", "nan", "inf", "-inf"])
+def test_metrics_reject_metadata_that_is_not_a_finite_number(tmp_path, capsys, key, raw):
+    meta = {"q_d_amplitude": 1.0, "q_d_start": 0.0, "omega": 30.0,
+            "contact_stiffness": 100.0, "contact_position": 0.5}
+    meta[key] = raw
+    path = tmp_path / "bad_meta.csv"
+    row = ",".join(["0.0"] * len(TRACE_COLUMNS))
+    path.write_text("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n"
+                    + ",".join(TRACE_COLUMNS) + "\n" + row + "\n" + row + "\n")
+    with pytest.raises(ValueError, match=key):
+        compute_metrics(import_trace(path))
+    assert main(["metrics", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert '"error": "config"' in err and str(path) in err and key in err
 
 
 def _rise_delay_oracle(t, q, amplitude, start, omega, max_shift=0.5, step=1e-3):
@@ -389,6 +442,29 @@ def test_divergence_carries_partial_trace():
         run_scenario(cfg)
     partial = exc_info.value.partial_trace
     assert partial is not None and len(partial) > 0
+    assert "ref_err_max" not in partial.aux
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_divergence_keeps_the_reference_error_of_the_steps_done():
+    from sea_l1ac import SimulationDivergence
+
+    cfg = _quick(name="diverge", duration=6.0, T_s=8e-3, substeps=1, g_ob=500.0,
+                 track_reference=True)
+    with pytest.raises(SimulationDivergence) as exc_info:
+        run_scenario(cfg)
+    partial = exc_info.value.partial_trace
+    assert len(partial) > 1
+    assert set(partial.aux) == {"xtilde_max", "ref_err_max"}
+    # the maximum over the steps that completed: a run of exactly those steps
+    # gives it, so the diverged step is left out (the states near overflow
+    # make it inf here; a few steps earlier it is still finite)
+    def ref_err(steps):
+        return run_scenario(cfg.with_overrides(duration=steps * cfg.T_s)).aux["ref_err_max"]
+
+    assert partial.aux["ref_err_max"] == ref_err(len(partial) - 1)
+    assert partial.aux["ref_err_max"] >= ref_err(len(partial) - 3) > 1e100
 
 
 # ---------------------------------------------------------------------------
