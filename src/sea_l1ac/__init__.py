@@ -27,7 +27,6 @@ from .controllers import (
     ReferenceSystem,
     RrcController,
     ideal_motor_side_compensation,
-    rrc_control,
 )
 from .harness import (
     ConfigError,
@@ -50,14 +49,8 @@ from .nominal import (
     build_rrc_gains,
     transfer_from_state_space,
 )
-from .params import EnvironmentModel, PlantParams, PlantState, benchmark_params
-from .plant import (
-    disturbance_torque,
-    gravity_torque,
-    integrate_step,
-    mechanical_energy,
-    plant_rhs,
-)
+from .params import EnvironmentModel, PlantParams, benchmark_params
+from .plant import contact_torque, gravity_gain
 from .traceio import export_plotscript, export_table, export_trace, import_trace
 
 __all__ = [name for name in dir() if not name.startswith("_")]

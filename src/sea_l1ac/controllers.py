@@ -46,7 +46,7 @@ from numpy.linalg import solve
 from .analysis import hold_response, observable_realization, shaping_filter_polynomials
 from .nominal import NominalModel, RrcGains
 from .params import PlantParams
-from .plant import gravity_gain, gravity_torque
+from .plant import gravity_gain
 
 
 # ---------------------------------------------------------------------------
@@ -112,29 +112,10 @@ def ideal_motor_side_compensation(state, params: PlantParams) -> float:
 # baseline position law
 # ---------------------------------------------------------------------------
 
-def rrc_control(
-    state,
-    q_d: float,
-    gains: RrcGains,
-    gravity_est: float,
-    dob_out: float,
-    params: PlantParams,
-) -> float:
-    """Baseline torque: motor target offset by the spring wind-up that holds
-    gravity, plus spring-feedback shaping, plus the observer feedforward.
-    ``state`` is (q, q', theta, theta') as any 4-sequence."""
-    q, _, theta, dtheta = state
-    theta_d = q_d + gravity_est / params.K_f
-    u = (
-        gains.K_p * (theta_d - theta)
-        - gains.K_v * dtheta
-        + gains.K_r * (gravity_est - params.K_f * (theta - q))
-    )
-    return params.J_m * u + dob_out
-
-
 class RrcController:
-    """Stateless baseline controller wrapper holding its configuration."""
+    """Baseline law: motor target offset by the spring wind-up that holds
+    the nominal gravity, plus spring-feedback shaping, plus the observer
+    feedforward. Stateless apart from its configuration."""
 
     def __init__(
         self,
@@ -147,14 +128,24 @@ class RrcController:
         self.gains = gains
         self.gravity_comp = gravity_comp
         self.torque_limit = torque_limit
+        self._gravity_gain = gravity_gain(params, params.m_0)
 
     def step(self, x, q_d: float, tau_dob: float) -> tuple:
-        """One control sample; returns the step record (module docstring)."""
-        gravity_est = gravity_torque(self.params, x[0], self.params.m_0) if self.gravity_comp else 0.0
-        tau_m = rrc_control(x, q_d, self.gains, gravity_est, tau_dob, self.params)
+        """One control sample; returns the step record (module docstring).
+        ``x`` is (q, q', theta, theta') as any 4-sequence."""
+        p, k = self.params, self.gains
+        q, _, theta, dtheta = x
+        gravity_est = self._gravity_gain * math.sin(q) if self.gravity_comp else 0.0
+        theta_d = q_d + gravity_est / p.K_f
+        u = (
+            k.K_p * (theta_d - theta)
+            - k.K_v * dtheta
+            + k.K_r * (gravity_est - p.K_f * (theta - q))
+        )
+        tau_m = p.J_m * u + tau_dob
         if self.torque_limit is not None:
             tau_m = min(max(tau_m, -self.torque_limit), self.torque_limit)
-        return tau_m, (tau_m - tau_dob) / self.params.J_m, 0.0, 0.0, 0.0, 0.0, 0.0
+        return tau_m, (tau_m - tau_dob) / p.J_m, 0.0, 0.0, 0.0, 0.0, 0.0
 
 
 # ---------------------------------------------------------------------------

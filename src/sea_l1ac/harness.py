@@ -29,7 +29,7 @@ from .controllers import (
 )
 from .nominal import build_nominal_model, build_rrc_gains
 from .params import EnvironmentModel, PlantParams, benchmark_params
-from .plant import _link_gravity_gains, _rk4_tuple, contact_torque, gravity_gain
+from .plant import _link_gravity_gains, _rk4_tuple, contact_torque
 
 
 class ConfigError(ValueError):
@@ -83,10 +83,16 @@ class ScenarioConfig:
             raise ConfigError("duration must be positive")
         if not 0.0 < self.T_s < math.inf:
             raise ConfigError("T_s must be positive")
-        if not (1 <= self.substeps < math.inf and 1 <= self.decimate < math.inf):
-            raise ConfigError("substeps and decimate must be >= 1")
+        if not all(isinstance(v, numbers.Integral) and v >= 1
+                   for v in (self.substeps, self.decimate)):
+            raise ConfigError("substeps and decimate must be integers >= 1")
         if not 0.0 <= self.mass < math.inf:
             raise ConfigError("mass must be nonnegative")
+        for name in ("q_d_amplitude", "q_d_start", "contact_position"):
+            if not -math.inf < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite")
+        if not 0.0 <= self.contact_stiffness < math.inf:
+            raise ConfigError("contact stiffness must be nonnegative and finite")
         if self.torque_limit is not None and not 0.0 < self.torque_limit < math.inf:
             raise ConfigError("torque limit must be positive when set")
 
@@ -160,14 +166,14 @@ def _columns(rows: array) -> dict:
 
 
 def _reference_error(reference: ReferenceSystem, log: array, x_final,
-                     params: PlantParams, env: EnvironmentModel, gravity_on: bool) -> float:
+                     params: PlantParams, env: EnvironmentModel, gravity_gains) -> float:
     """max |x_r(k) - x(k)| over the four states and k = 1 .. n.
 
     ``log`` holds one row (x, tau_dob, q_d, u_gc, g_ff1) per controller
     step k = 0 .. n - 1 and ``x_final`` is x(n); None means the run
     diverged in the last logged step, whose x is then x(n). The reference
     system starts from x(0), driven by the true disturbances the log
-    implies.
+    implies, with the plant's own ``gravity_gains``.
     """
     steps = np.array(log).reshape(-1, 8)
     if x_final is None:
@@ -178,8 +184,8 @@ def _reference_error(reference: ReferenceSystem, log: array, x_final,
     q, _, theta, dtheta, tau_dob, q_d, u_gc, g_ff1 = steps.T
     tau_spring = params.K_f * (theta - q)
     link_torque = np.fromiter(map(partial(contact_torque, env), q.tolist()), float, n)
-    if gravity_on:
-        link_torque = link_torque + gravity_gain(params, params.m) * np.sin(q)
+    if gravity_gains is not None:
+        link_torque = link_torque + gravity_gains[1] * np.sin(q)
     u = np.zeros((n, 9))  # the arguments of ReferenceSystem.step, in order
     u[:, 0] = (tau_dob - params.f_m * dtheta - tau_spring) / params.J_m
     u[:, 2] = -link_torque / params.J_a - g_ff1
@@ -234,7 +240,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
     if cfg.track_reference:
         if cfg.controller == "rrc":
             raise ConfigError("reference tracking needs the adaptive controller")
-        reference = ReferenceSystem(model, L1Config(T_s=cfg.T_s, T=cfg.T, K_a=cfg.K_a))
+        reference = ReferenceSystem(model, l1cfg)
 
     meta = {
         "name": cfg.name,
@@ -253,7 +259,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
     T_s, decimate, substeps, K_t = cfg.T_s, cfg.decimate, cfg.substeps, params.K_t
     amplitude, switch_on = cfg.q_d_amplitude, cfg.q_d_start - 1e-12
     ideal_dob, tracking = cfg.ideal_dob, reference is not None
-    gravity_gains = _link_gravity_gains(params, env, cfg.gravity_on)
+    gravity_gains = _link_gravity_gains(params, cfg.gravity_on)
     control, isfinite = controller.step, math.isfinite
     rows, log = array("d"), array("d")  # trace rows; reference log, every step
     record_row, record_step = rows.extend, log.extend
@@ -264,7 +270,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
         aux = {"xtilde_max": xtilde_max}
         if tracking:
             aux["ref_err_max"] = _reference_error(reference, log, x_final, params, env,
-                                                  cfg.gravity_on)
+                                                  gravity_gains)
         return RunTrace(columns=_columns(rows), meta=meta, aux=aux)
 
     x = (0.0, 0.0, 0.0, 0.0)

@@ -1,4 +1,4 @@
-"""Physical parameters and value types for the two-mass elastic joint."""
+"""Physical parameters of the two-mass elastic joint and its environment."""
 
 from __future__ import annotations
 
@@ -32,13 +32,15 @@ class PlantParams:
     f_m: float
 
     def __post_init__(self):
+        # written so that nan fails every check; the upper limits reject inf
         for name in ("J_m", "J_a", "K_f", "m_0", "K_t"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.f_m < 0.0:
-            raise ValueError("f_m must be nonnegative")
-        if self.m < 0.0:
-            raise ValueError("m must be nonnegative")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be strictly positive and finite")
+        for name in ("f_m", "m"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
+        if not -math.inf < self.G_0 < math.inf:
+            raise ValueError("G_0 must be finite")
 
     @property
     def omega(self) -> float:
@@ -64,50 +66,18 @@ def benchmark_params(m: float = 1.5) -> PlantParams:
 
 
 @dataclass(frozen=True)
-class PlantState:
-    """State of the joint: link position/velocity and motor position/velocity."""
-
-    q: float
-    dq: float
-    theta: float
-    dtheta: float
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.q, self.dq, self.theta, self.dtheta))):
-            raise ValueError("plant state must be finite")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.q, self.dq, self.theta, self.dtheta)
-
-    @staticmethod
-    def zero() -> "PlantState":
-        return PlantState(0.0, 0.0, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
 class EnvironmentModel:
-    """Link-side disturbance sources: load deviation and a contact spring.
+    """Link-side contact spring of stiffness ``K_e`` engaging at ``q_0``.
 
-    ``delta_m`` is the load-mass deviation from nominal; ``None`` means
-    "derive it from ``params.m - params.m_0``". The contact spring with
-    stiffness ``K_e`` engages at position ``q_0``; by default it is a
-    one-sided wall (active only for q > q_0), ``bilateral=True`` makes it a
-    linear spring for cross-checks against linear analysis.
+    By default it is a one-sided wall (active only for q > q_0);
+    ``bilateral=True`` makes it a linear spring for cross-checks against
+    linear analysis. The load-mass deviation is ``PlantParams.m - m_0``.
     """
 
     K_e: float = 0.0
     q_0: float = 0.0
-    delta_m: float | None = None
     bilateral: bool = False
 
     def __post_init__(self):
         if self.K_e < 0.0:
             raise ValueError("contact stiffness K_e must be nonnegative")
-
-    def mass_deviation(self, params: PlantParams) -> float:
-        if self.delta_m is not None:
-            return self.delta_m
-        return params.m - params.m_0
-
-
-FREE_SPACE = EnvironmentModel()

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,37 @@ def test_config_dataclasses_reject_nonfinite(factory, kwargs):
         factory(**kwargs)
 
 
+def _plant(**kwargs):
+    return replace(benchmark_params(), **kwargs)
+
+
+@pytest.mark.parametrize("factory, kwargs, error", [
+    (ScenarioConfig, {"q_d_amplitude": math.nan}, ConfigError),
+    (ScenarioConfig, {"q_d_amplitude": math.inf}, ConfigError),
+    (ScenarioConfig, {"q_d_start": math.nan}, ConfigError),
+    (ScenarioConfig, {"q_d_start": -math.inf}, ConfigError),
+    (ScenarioConfig, {"contact_position": math.inf}, ConfigError),
+    (ScenarioConfig, {"contact_position": math.nan}, ConfigError),
+    (ScenarioConfig, {"contact_stiffness": -5.0}, ConfigError),
+    (ScenarioConfig, {"contact_stiffness": math.nan}, ConfigError),
+    (ScenarioConfig, {"contact_stiffness": math.inf}, ConfigError),
+    (ScenarioConfig, {"decimate": 1.5}, ConfigError),
+    (ScenarioConfig, {"substeps": 1.5}, ConfigError),
+    (ScenarioConfig, {"substeps": 2.0}, ConfigError),
+    (_plant, {"f_m": math.nan}, ValueError),
+    (_plant, {"m": math.nan}, ValueError),
+    (_plant, {"G_0": math.nan}, ValueError),
+    (_plant, {"G_0": -math.inf}, ValueError),
+    (_plant, {"J_m": math.inf}, ValueError),
+    (_plant, {"K_t": math.inf}, ValueError),
+], ids=lambda v: v.__name__ if callable(v) else "-".join(f"{k}={x}" for k, x in v.items()))
+def test_configs_reject_values_they_cannot_run(factory, kwargs, error):
+    # each of these used to construct, then ran with the command or the wall
+    # silently off, recorded the wrong rows, or failed mid-run with another error
+    with pytest.raises(error, match="must"):
+        factory(**kwargs)
+
+
 def test_reference_tracking_needs_adaptive_controller():
     with pytest.raises(ConfigError):
         run_scenario(_quick(controller="rrc", track_reference=True))
@@ -94,7 +126,7 @@ def test_reference_error_compares_the_same_sample_instants(contact_stiffness):
     # ReferenceSystem.step itself; x_r(k) is compared with x(k) for k = 1..n
     from sea_l1ac.controllers import ReferenceSystem, ideal_motor_side_compensation
     from sea_l1ac.nominal import build_nominal_model, build_rrc_gains
-    from sea_l1ac.plant import _link_gravity_gains, _rk4_tuple, contact_torque, gravity_torque
+    from sea_l1ac.plant import _link_gravity_gains, _rk4_tuple, contact_torque, gravity_gain
 
     cfg = _quick(controller="l1ac-nogc", ideal_dob=True, substeps=1, mass=2.25,
                  duration=1.0, track_reference=True,
@@ -106,14 +138,14 @@ def test_reference_error_compares_the_same_sample_instants(contact_stiffness):
     cols = ("q_rad", "dq_rad_per_s", "theta_rad", "dtheta_rad_per_s")
     xs = np.column_stack([trace[c] for c in cols])
     final = _rk4_tuple(tuple(xs[-1]), float(trace["tau_m_Nm"][-1]), cfg.T_s, params, env,
-                       _link_gravity_gains(params, env, cfg.gravity_on))
+                       _link_gravity_gains(params, cfg.gravity_on))
     after = np.vstack([xs[1:], final])  # x(k + 1), the state each step leads to
     worst = 0.0
     for t, x, x_next in zip(trace["t_s"], xs, after):
         q, _, theta, dtheta = x
         tau_dob = ideal_motor_side_compensation(x, params)
         sigma1 = (tau_dob - params.f_m * dtheta - params.K_f * (theta - q)) / params.J_m
-        link = contact_torque(env, q) + gravity_torque(params, q, params.m)
+        link = contact_torque(env, q) + gravity_gain(params, params.m) * math.sin(q)
         q_d = cfg.q_d_amplitude if t >= cfg.q_d_start else 0.0
         x_r = ref.step(sigma1, (0.0, -link / params.J_a, 0.0), q_d)
         worst = max(worst, float(np.max(np.abs(x_r - x_next))))
