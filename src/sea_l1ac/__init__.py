@@ -21,7 +21,6 @@ from .analysis import (
 )
 from .controllers import (
     DisturbanceObserver,
-    DobConfig,
     L1Config,
     L1Controller,
     ReferenceSystem,

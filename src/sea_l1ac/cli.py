@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration error, 3 numeric/simulation error,
 4 I/O error. Errors also emit one JSON line on stderr with a machine-readable
-category.
+category. A suite whose scenarios fail exits with the gravest of their codes,
+each classified as the same error in ``run`` would be.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -41,14 +43,27 @@ from .harness import (
 from .nominal import build_nominal_model, build_rrc_gains
 from .traceio import export_plotscript, export_table, export_trace, import_trace
 
-_EXIT_CONFIG = 2
-_EXIT_NUMERIC = 3
-_EXIT_IO = 4
+_EXIT_CODES = {"config": 2, "numeric": 3, "io": 4}
 
 
-def _fail(category: str, detail: str, code: int) -> int:
+def _fail(category: str, detail: str) -> int:
     sys.stderr.write(json.dumps({"error": category, "detail": detail}) + "\n")
-    return code
+    return _EXIT_CODES[category]
+
+
+def _category(exc: Exception) -> str | None:
+    """The error category the CLI reports ``exc`` under; None for any other
+    exception, which is a defect and propagates."""
+    if isinstance(exc, ConfigError):
+        return "config"
+    if isinstance(exc, (SimulationDivergence, ArithmeticError, analysis.UnstableSystemError,
+                        np.linalg.LinAlgError)):
+        return "numeric"
+    if isinstance(exc, OSError):
+        return "io"
+    if isinstance(exc, ValueError):
+        return "config"
+    return None
 
 
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
@@ -119,7 +134,9 @@ def _cmd_suite(args) -> int:
         print(",".join(str(v) for v in row))
     if not result.ok:
         failed = ", ".join(sorted(result.errors))
-        return _fail("numeric", f"scenarios failed: {failed}", _EXIT_NUMERIC)
+        # run_suite isolates any exception; one without a category counts as numeric
+        categories = (_category(exc) or "numeric" for exc in result.errors.values())
+        return _fail(max(categories, key=_EXIT_CODES.get), f"scenarios failed: {failed}")
     return 0
 
 
@@ -174,14 +191,7 @@ def _cmd_metrics(args) -> int:
         report = compute_metrics(trace)
     except ValueError as exc:
         raise ValueError(f"{args.trace}: {exc}") from None
-    print(json.dumps({
-        "static_error_rad": report.static_error_rad,
-        "overshoot_pct": report.overshoot_pct,
-        "settling_time_s": report.settling_time_s,
-        "peak_current_permil": report.peak_current_permil,
-        "rise_delay_s": report.rise_delay_s,
-        "peak_speed_after_contact": report.peak_speed_after_contact,
-    }))
+    print(json.dumps(asdict(report)))
     return 0
 
 
@@ -237,16 +247,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        return _fail("config", str(exc), _EXIT_CONFIG)
-    except SimulationDivergence as exc:
-        return _fail("numeric", str(exc), _EXIT_NUMERIC)
-    except (ArithmeticError, analysis.UnstableSystemError, np.linalg.LinAlgError) as exc:
-        return _fail("numeric", str(exc), _EXIT_NUMERIC)
-    except OSError as exc:
-        return _fail("io", str(exc), _EXIT_IO)
-    except ValueError as exc:
-        return _fail("config", str(exc), _EXIT_CONFIG)
+    except Exception as exc:  # noqa: BLE001 - re-raised below unless categorized
+        category = _category(exc)
+        if category is None:
+            raise
+        return _fail(category, str(exc))
 
 
 if __name__ == "__main__":

@@ -19,10 +19,11 @@ batched into four numpy calls and the rest in scalar arithmetic, in the
 same floating-point operations as the three methods ``adaptation_update``,
 ``l1_control_update`` and ``predictor_step``; those remain the definition,
 and step() reproduces them bit for bit, so recorded traces do not depend on
-which form ran. ``ReferenceSystem``, whose state only feeds a diagnostic,
-evaluates its filter and hold as one precomputed affine map: ``step``
-advances it one sample and is its definition, ``run`` marches a whole input
-sequence at once in blocks and agrees with ``step`` in a loop to rounding.
+which form ran. ``ReferenceSystem`` is built from an ``L1Controller`` and
+reuses its hold pair and filter matrices: one sample is the linear
+recurrence s+ = M s + N u on its state s = [x_r; z_f]. ``step`` advances it
+one sample and is its definition; ``run`` marches a whole input sequence at
+once in blocks and agrees with ``step`` in a loop to rounding.
 
 Both controllers' ``step(x, q_d, tau_dob)`` return the step record, a plain
 tuple ``(tau_m, u1, u2, xtilde_inf, sigma22_hat, u_gc, g_ff1)``: torque,
@@ -53,19 +54,9 @@ from .plant import gravity_gain
 # disturbance observer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DobConfig:
-    """First-order disturbance observer bandwidth [rad/s]."""
-
-    g_ob: float = 500.0
-
-    def __post_init__(self):
-        if not 0.0 < self.g_ob < math.inf:  # nan and inf fail too
-            raise ValueError("observer bandwidth must be positive")
-
-
 class DisturbanceObserver:
-    """Velocity-form estimator of the lumped motor-side disturbance.
+    """Velocity-form estimator of the lumped motor-side disturbance with
+    bandwidth ``g_ob`` [rad/s], at least 10 omega.
 
     The observer cannot filter the unknown disturbance directly, so it uses
     the algebraically equivalent form
@@ -77,18 +68,17 @@ class DisturbanceObserver:
     with its exact zero-order-hold discretization at period ``dt``.
     """
 
-    def __init__(self, cfg: DobConfig, params: PlantParams, dt: float):
+    def __init__(self, g_ob: float, params: PlantParams, dt: float):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        if cfg.g_ob < 10.0 * params.omega:
+        # written so that nan fails; omega > 0, so this rejects g_ob <= 0 too
+        if not 10.0 * params.omega <= g_ob < math.inf:
             raise ValueError(
-                "observer bandwidth must dominate the closed loop "
-                f"(g_ob={cfg.g_ob} < 10*omega={10 * params.omega:.1f})"
+                "observer bandwidth g_ob must be finite and dominate the closed loop "
+                f"(g_ob={g_ob}, 10*omega={10 * params.omega:.1f})"
             )
-        self.cfg = cfg
-        self.dt = dt
-        self._gain = cfg.g_ob * params.J_m
-        self._decay = math.exp(-cfg.g_ob * dt)
+        self._gain = g_ob * params.J_m
+        self._decay = math.exp(-g_ob * dt)
         self._state = 0.0
 
     def estimate(self, dtheta: float) -> float:
@@ -409,57 +399,39 @@ class ReferenceSystem:
     """Idealized closed loop assuming perfectly identified disturbances.
 
     Not implementable on a real plant: its inputs are the true disturbances,
-    which only a simulator can expose. It shares the discrete command-filter
-    realization with the real controller and advances its state with the same
-    exact hold discretization, so differences against the real loop isolate
-    the estimation error.
+    which only a simulator can expose. It is its controller's command filter
+    and exact-hold predictor with the estimates replaced by those inputs, so
+    differences against the real loop isolate the estimation error; it is
+    built from the controller's matrices and discretizes nothing itself.
 
-    Filter and hold form one affine map, so ``step`` is one precomputed
-    matrix product; it agrees with the unfused formula to rounding. ``run``
-    applies the same map to a whole input sequence without a per-sample
-    Python call.
+    One sample is s+ = M s + N u on the state s = [x_r; z_f] and the input
+    u = (sigma1, sigma2 (3), q_d, matched_known, unmatched_known (3)), the
+    arguments of ``step`` in order. ``step`` advances s one sample and is
+    the definition; ``run`` applies the same recurrence to a whole input
+    sequence without a per-sample Python call.
     """
 
-    def __init__(self, model: NominalModel, cfg: L1Config):
-        self.model = model
-        self.cfg = cfg
-        self.E, self.Phi = hold_response(model.A_m, cfg.T_s)
-        self.Ad, self.Bd, self.Cd, self.Dd = discretize_filter_bank(model, cfg)
-
-        # One sample as one matrix over w = [x_r (0:4); sigma1 (4); sigma2 (5:8);
-        # q_d (8); matched_known (9); unmatched_known (10:13); z_f (13:)]. The
-        # rows of G @ w are [x_r+; z_f+; y], with the command u2r = -y.
-        nf = self.Ad.shape[0]
-        v = np.zeros((4, 13))  # filter input [sigma1 - K_g q_d; sigma2]
-        v[:, 4:8] = np.eye(4)
-        v[0, 8] = -model.K_g
-        matched = np.zeros(13)  # sigma1 + matched_known, u2r added below
-        matched[[4, 9]] = 1.0
-        unmatched = v[1:].copy()  # sigma2 + unmatched_known
-        unmatched[:, 10:13] = np.eye(3)
-        y = np.hstack([self.Dd @ v, self.Cd])
-        x_next = np.hstack([
-            self.E @ np.eye(4, 13)
-            + self.Phi @ (np.outer(model.B_m, matched) + model.B_um @ unmatched),
-            np.zeros((4, nf)),
-        ])
-        x_next -= np.outer(self.Phi @ model.B_m, y[0])
-        self._G = np.vstack([x_next, np.hstack([self.Bd @ v, self.Ad]), y])
-        # the same sample as s+ = M s + N u on s = [x_r; z_f], u = w[4:13]
-        state = np.r_[0:4, 13:13 + nf]
-        self._M = self._G[:4 + nf, state]
-        self._N = self._G[:4 + nf, 4:13]
-        self._w = np.zeros(self._G.shape[1])
-        self._zf = self._w[13:]
-        self._rows_zf = slice(4, 4 + nf)
+    def __init__(self, controller: L1Controller):
+        model, pb = controller.model, controller.Phi @ controller.model.B_m
+        Ad, Bd, Cd, Dd = controller.Ad, controller.Bd, controller.Cd, controller.Dd
+        nf = Ad.shape[0]
+        v = np.zeros((4, 9))  # filter input [sigma1 - K_g q_d; sigma2]
+        v[:, :4] = np.eye(4)
+        v[0, 4] = -model.K_g
+        hold = np.zeros((4, 9))  # B_m (sigma1 + matched_known) + B_um (sigma2 + unmatched_known)
+        hold[:, [0, 5]] = model.B_m[:, None]
+        hold[:, 1:4] = hold[:, 6:9] = model.B_um
+        # the predictor is driven by u2r = -(Cd z_f + Dd v) on top of the hold input
+        self._M = np.block([[controller.E, -np.outer(pb, Cd[0])],
+                            [np.zeros((nf, 4)), Ad]])
+        self._N = np.vstack([controller.Phi @ hold - np.outer(pb, (Dd @ v)[0]), Bd @ v])
         self.reset()
 
     def reset(self, x0=None):
-        self._w[:] = 0.0
+        """Start from x_r = ``x0`` (zeros when None) and a zero filter state."""
+        self._s = np.zeros(len(self._M))
         if x0 is not None:
-            self._w[:4] = x0
-        self.x_r = self._w[:4].copy()
-        self.u2r = 0.0
+            self._s[:4] = x0
 
     def step(
         self,
@@ -469,19 +441,17 @@ class ReferenceSystem:
         matched_known: float = 0.0,
         unmatched_known=None,
     ) -> np.ndarray:
-        """Advance one sample; the 3-vectors may be any float sequences."""
-        w = self._w
-        w[4] = sigma1_true
-        w[5:8] = sigma2_true
-        w[8] = q_d
-        w[9] = matched_known
-        w[10:13] = 0.0 if unmatched_known is None else unmatched_known
-        out = self._G @ w
-        self._zf[:] = out[self._rows_zf]
-        self.x_r = out[:4]
-        w[:4] = self.x_r
-        self.u2r = -float(out[-1])
-        return self.x_r
+        """Advance one sample and return x_r; the 3-vectors may be any float
+        sequences."""
+        u = np.zeros(9)
+        u[0] = sigma1_true
+        u[1:4] = sigma2_true
+        u[4] = q_d
+        u[5] = matched_known
+        if unmatched_known is not None:
+            u[6:] = unmatched_known
+        self._s = self._M @ self._s + self._N @ u
+        return self._s[:4]
 
     def run(self, x0, inputs) -> np.ndarray:
         """x_r after each of ``len(inputs)`` samples from ``reset(x0)``.

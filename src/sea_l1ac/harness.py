@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -20,7 +20,6 @@ import numpy as np
 from .analysis import analytic_nominal_response
 from .controllers import (
     DisturbanceObserver,
-    DobConfig,
     L1Config,
     L1Controller,
     ReferenceSystem,
@@ -83,9 +82,12 @@ class ScenarioConfig:
             raise ConfigError("duration must be positive")
         if not 0.0 < self.T_s < math.inf:
             raise ConfigError("T_s must be positive")
-        if not all(isinstance(v, numbers.Integral) and v >= 1
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
                    for v in (self.substeps, self.decimate)):
             raise ConfigError("substeps and decimate must be integers >= 1")
+        for name in ("bilateral_contact", "gravity_on", "ideal_dob", "track_reference"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be a bool")
         if not 0.0 <= self.mass < math.inf:
             raise ConfigError("mass must be nonnegative")
         for name in ("q_d_amplitude", "q_d_start", "contact_position"):
@@ -219,19 +221,18 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
 
     dob = None
     if not cfg.ideal_dob:
-        dob = DisturbanceObserver(DobConfig(g_ob=cfg.g_ob), params, h)
+        dob = DisturbanceObserver(cfg.g_ob, params, h)
 
     if cfg.controller == "rrc":
         controller = RrcController(
             params, gains, gravity_comp=cfg.gravity_on, torque_limit=cfg.torque_limit
         )
     else:
-        l1cfg = L1Config(T_s=cfg.T_s, T=cfg.T, K_a=cfg.K_a)
         controller = L1Controller(
             params,
             gains,
             model,
-            l1cfg,
+            L1Config(T_s=cfg.T_s, T=cfg.T, K_a=cfg.K_a),
             gravity_comp=cfg.gravity_on and cfg.controller == "l1ac",
             torque_limit=cfg.torque_limit,
         )
@@ -240,7 +241,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
     if cfg.track_reference:
         if cfg.controller == "rrc":
             raise ConfigError("reference tracking needs the adaptive controller")
-        reference = ReferenceSystem(model, l1cfg)
+        reference = ReferenceSystem(controller)
 
     meta = {
         "name": cfg.name,
@@ -520,24 +521,11 @@ def run_suite(suite: SuiteConfig) -> SuiteResult:
 
 def summary_table(suite: SuiteConfig, result: SuiteResult) -> list[list]:
     """Comparison table rows (header first) for the suite outcome."""
-    rows = [[
-        "scenario", "controller", "mass_kg", "contact_stiffness",
-        "static_error_rad", "overshoot_pct", "settling_time_s",
-        "peak_current_permil", "rise_delay_s", "peak_speed_after_contact",
-        "status",
-    ]]
+    metrics = [f.name for f in fields(MetricsReport)]
+    rows = [["scenario", "controller", "mass_kg", "contact_stiffness", *metrics, "status"]]
     for scen, report, status in result.rows(suite):
-        if report is None:
-            rows.append([scen.name, scen.controller, scen.mass,
-                         scen.contact_stiffness, "", "", "", "", "", "", status])
-        else:
-            rows.append([
-                scen.name, scen.controller, scen.mass, scen.contact_stiffness,
-                report.static_error_rad, report.overshoot_pct,
-                "" if report.settling_time_s is None else report.settling_time_s,
-                report.peak_current_permil, report.rise_delay_s,
-                "" if report.peak_speed_after_contact is None
-                else report.peak_speed_after_contact,
-                status,
-            ])
+        values = [""] * len(metrics) if report is None else [
+            "" if v is None else v for v in astuple(report)]
+        rows.append([scen.name, scen.controller, scen.mass, scen.contact_stiffness,
+                     *values, status])
     return rows

@@ -79,5 +79,7 @@ class EnvironmentModel:
     bilateral: bool = False
 
     def __post_init__(self):
-        if self.K_e < 0.0:
-            raise ValueError("contact stiffness K_e must be nonnegative")
+        if not 0.0 <= self.K_e < math.inf:  # nan fails too
+            raise ValueError("contact stiffness K_e must be nonnegative and finite")
+        if not -math.inf < self.q_0 < math.inf:
+            raise ValueError("contact position q_0 must be finite")

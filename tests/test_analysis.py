@@ -190,11 +190,6 @@ def test_l1_norm_rejects_unstable():
         l1_norm(StateSpace.make([[0.1]], [1.0], [1.0]))
 
 
-def test_l1_norm_rejects_short_horizon():
-    with pytest.raises(ValueError):
-        l1_norm(StateSpace.make([[-1.0]], [1.0], [1.0]), horizon=2.0)
-
-
 def _sequential_l1_norm(system):
     """The impulse-response quadrature marched one step per iteration."""
     eig = np.linalg.eigvals(system.A)

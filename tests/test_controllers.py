@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sea_l1ac import (
     DisturbanceObserver,
-    DobConfig,
     L1Config,
     L1Controller,
     ReferenceSystem,
@@ -24,7 +23,7 @@ from sea_l1ac.nominal import NominalModel
 # ---------------------------------------------------------------------------
 
 def test_dob_zero_in_zero_out(params):
-    dob = DisturbanceObserver(DobConfig(), params, 1e-3)
+    dob = DisturbanceObserver(500.0, params, 1e-3)
     for _ in range(50):
         dob.advance(0.0, 0.0)
         assert dob.estimate(0.0) == 0.0
@@ -34,7 +33,7 @@ def test_dob_step_disturbance_first_order_response(params):
     # a blocked motor with constant counter-torque d: tau_m = d, dtheta = 0;
     # oracle: the first-order response d (1 - exp(-g t))
     g, dt, d = 500.0, 1e-5, 3.7
-    dob = DisturbanceObserver(DobConfig(g_ob=g), params, dt)
+    dob = DisturbanceObserver(g, params, dt)
     steps = int(round(1.0 / g / dt))
     for _ in range(steps):
         dob.advance(d, 0.0)
@@ -44,7 +43,7 @@ def test_dob_step_disturbance_first_order_response(params):
 
 def test_dob_converges_to_constant_disturbance_with_motion(params):
     # steady cruise: constant velocity, torque balancing the disturbance
-    dob = DisturbanceObserver(DobConfig(), params, 1e-4)
+    dob = DisturbanceObserver(500.0, params, 1e-4)
     dtheta, d = 2.0, 11.0
     for _ in range(5000):
         dob.advance(d, dtheta)
@@ -54,7 +53,7 @@ def test_dob_converges_to_constant_disturbance_with_motion(params):
 
 def test_dob_requires_bandwidth_separation(params):
     with pytest.raises(ValueError):
-        DisturbanceObserver(DobConfig(g_ob=50.0), params, 1e-3)
+        DisturbanceObserver(50.0, params, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +284,12 @@ def test_torque_limit_feeds_achieved_input_to_predictor(params, gains, model):
     assert np.max(np.abs(ctl.x_hat - expected)) < 1e-12
 
 
-def test_reference_system_tracks_step_without_disturbance(model):
-    ref = ReferenceSystem(model, L1Config())
+def _reference(params, gains, model, cfg=L1Config()):
+    return ReferenceSystem(L1Controller(params, gains, model, cfg))
+
+
+def test_reference_system_tracks_step_without_disturbance(params, gains, model):
+    ref = _reference(params, gains, model)
     q_d = 1.2
     for _ in range(4000):
         x_r = ref.step(0.0, np.zeros(3), q_d)
@@ -294,7 +297,7 @@ def test_reference_system_tracks_step_without_disturbance(model):
     assert abs(x_r[1]) < 1e-6
 
 
-def test_reference_system_respects_certified_bound(params, model):
+def test_reference_system_respects_certified_bound(params, gains, model):
     # the design condition certifies a peak bound for the reference state;
     # oracle: simulate under an in-envelope disturbance and take the max norm
     from sea_l1ac import StabilityBudget, check_stability_condition
@@ -302,7 +305,7 @@ def test_reference_system_respects_certified_bound(params, model):
     budget = StabilityBudget(L_2=0.0, B_2=12.84, rho_r=100.0)
     rep = check_stability_condition(model, L1Config(), budget, qd_peak=math.pi / 2)
     assert rep.satisfied
-    ref = ReferenceSystem(model, L1Config())
+    ref = _reference(params, gains, model)
     sigma2 = np.array([0.0, -12.84, 0.0])
     peak = 0.0
     for _ in range(5000):
@@ -396,24 +399,23 @@ def test_l1_step_reproduces_its_definition_bit_for_bit(params, gains, model, x0,
                   st.floats(-50, 50), st.tuples(*[st.floats(-50, 50)] * 3)),
         min_size=1, max_size=4),
 )
-def test_fused_reference_step_matches_unfused_formula(model, x0, samples):
-    ref = ReferenceSystem(model, L1Config())
+def test_fused_reference_step_matches_unfused_formula(params, gains, model, x0, samples):
+    # the controller's filter and hold, stepped term by term; a wrong filter
+    # state shows in x_r one sample later
+    ctl = L1Controller(params, gains, model, L1Config())
+    ref = ReferenceSystem(ctl)
     ref.reset(np.array(x0))
-    x_r, zf = np.array(x0), np.zeros(ref.Ad.shape[0])
+    x_r, zf = np.array(x0), np.zeros(ctl.Ad.shape[0])
     for sigma1, sigma2, q_d, matched_known, unmatched_known in samples:
         v = np.array([sigma1 - model.K_g * q_d, *sigma2])
-        filter_terms = (ref.Cd @ zf, ref.Dd @ v)
-        zf_terms = (ref.Ad @ zf, ref.Bd @ v)
-        u2r = -float(sum(filter_terms)[0])
-        zf = sum(zf_terms)
+        u2r = -float((ctl.Cd @ zf + ctl.Dd @ v)[0])
+        zf = ctl.Ad @ zf + ctl.Bd @ v
         drive = (model.B_m * (u2r + matched_known + sigma1),
                  model.B_um @ (np.array(sigma2) + unmatched_known))
-        x_terms = (ref.E @ x_r, *(ref.Phi @ d for d in drive))
+        x_terms = (ctl.E @ x_r, *(ctl.Phi @ d for d in drive))
         x_r = sum(x_terms)
         got = ref.step(sigma1, sigma2, q_d, matched_known, unmatched_known)
-        _assert_close(got, x_r, *x_terms, ref.Phi @ model.B_m * u2r)
-        _assert_close(ref._zf, zf, *zf_terms)
-        _assert_close(ref.u2r, u2r, *filter_terms)
+        _assert_close(got, x_r, *x_terms, ctl.Phi @ model.B_m * u2r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -425,11 +427,12 @@ def test_fused_reference_step_matches_unfused_formula(model, x0, samples):
     seed=st.integers(0, 2**32 - 1),
     walk=st.booleans(),
 )
-def test_reference_run_matches_a_loop_of_step(model, T_s, K_a, T_frac, n, seed, walk):
+def test_reference_run_matches_a_loop_of_step(params, gains, model, T_s, K_a, T_frac, n,
+                                              seed, walk):
     # C(s) is stable iff K_a T < 8/9 (Routh on s (T s + 1)^3 + K_a); T spans
     # 5 ms up to min(40 ms, 0.8 / K_a)
     T = 5e-3 + T_frac * (min(0.04, 0.8 / K_a) - 5e-3)
-    ref = ReferenceSystem(model, L1Config(T_s=T_s, T=T, K_a=K_a))
+    ref = _reference(params, gains, model, L1Config(T_s=T_s, T=T, K_a=K_a))
     rng = np.random.default_rng(seed)
     scale = np.array([20.0, 5.0, 50.0, 5.0, 2.0, 50.0, 5.0, 50.0, 5.0])
     inputs = rng.standard_normal((n, 9)) * scale
@@ -437,17 +440,16 @@ def test_reference_run_matches_a_loop_of_step(model, T_s, K_a, T_frac, n, seed, 
         inputs = np.cumsum(inputs, axis=0) / np.sqrt(n)
     x0 = rng.standard_normal(4)
 
-    got = ref.run(x0, inputs)
     ref.reset(x0)
-    want = np.array([ref.step(u[0], u[1:4], u[4], u[5], u[6:9]).copy() for u in inputs])
+    got = ref.run(x0, inputs)  # between reset and the loop: it must not move the state
+    want = np.array([ref.step(u[0], u[1:4], u[4], u[5], u[6:9]) for u in inputs])
     # the bound: 1e-12 of the peak |x_r|; the block march and the per-sample
     # product round differently, by about 1e-14 of the peak
     assert got.shape == (n, 4)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    # run neither reads nor moves the state that step advances
+    # run does not read the state that step advanced
     assert np.array_equal(ref.run(x0, inputs), got)
-    assert np.array_equal(ref.x_r, want[-1])
 
 
-def test_reference_run_of_no_samples(model):
-    assert ReferenceSystem(model, L1Config()).run(np.zeros(4), np.zeros((0, 9))).shape == (0, 4)
+def test_reference_run_of_no_samples(params, gains, model):
+    assert _reference(params, gains, model).run(np.zeros(4), np.zeros((0, 9))).shape == (0, 4)

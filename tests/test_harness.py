@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import sea_l1ac
 from sea_l1ac import (
     ConfigError,
-    DobConfig,
+    DisturbanceObserver,
+    EnvironmentModel,
     L1Config,
     RunTrace,
     ScenarioConfig,
@@ -66,8 +67,6 @@ def test_config_rejects_bad_duration():
     (L1Config, {"T": math.inf}),
     (L1Config, {"K_a": math.nan}),
     (L1Config, {"K_a": math.inf}),
-    (DobConfig, {"g_ob": math.nan}),
-    (DobConfig, {"g_ob": math.inf}),
     (ScenarioConfig, {"duration": math.nan}),
     (ScenarioConfig, {"duration": math.inf}),
     (ScenarioConfig, {"T_s": math.nan}),
@@ -87,6 +86,10 @@ def _plant(**kwargs):
     return replace(benchmark_params(), **kwargs)
 
 
+def _observer(g_ob):
+    return DisturbanceObserver(g_ob, benchmark_params(), 1e-3)
+
+
 @pytest.mark.parametrize("factory, kwargs, error", [
     (ScenarioConfig, {"q_d_amplitude": math.nan}, ConfigError),
     (ScenarioConfig, {"q_d_amplitude": math.inf}, ConfigError),
@@ -100,6 +103,22 @@ def _plant(**kwargs):
     (ScenarioConfig, {"decimate": 1.5}, ConfigError),
     (ScenarioConfig, {"substeps": 1.5}, ConfigError),
     (ScenarioConfig, {"substeps": 2.0}, ConfigError),
+    (ScenarioConfig, {"substeps": True}, ConfigError),
+    (ScenarioConfig, {"decimate": True}, ConfigError),
+    (ScenarioConfig, {"gravity_on": "off"}, ConfigError),
+    (ScenarioConfig, {"ideal_dob": 1}, ConfigError),
+    (ScenarioConfig, {"bilateral_contact": "no"}, ConfigError),
+    (ScenarioConfig, {"track_reference": None}, ConfigError),
+    (EnvironmentModel, {"K_e": math.nan}, ValueError),
+    (EnvironmentModel, {"K_e": math.inf}, ValueError),
+    (EnvironmentModel, {"q_0": math.inf}, ValueError),
+    (EnvironmentModel, {"q_0": math.nan}, ValueError),
+    (_observer, {"g_ob": math.nan}, ValueError),
+    (_observer, {"g_ob": math.inf}, ValueError),
+    (_observer, {"g_ob": -math.inf}, ValueError),
+    (_observer, {"g_ob": 0.0}, ValueError),
+    (_observer, {"g_ob": -500.0}, ValueError),
+    (_observer, {"g_ob": 50.0}, ValueError),
     (_plant, {"f_m": math.nan}, ValueError),
     (_plant, {"m": math.nan}, ValueError),
     (_plant, {"G_0": math.nan}, ValueError),
@@ -124,7 +143,9 @@ def test_reference_error_compares_the_same_sample_instants(contact_stiffness):
     # l1ac-nogc with the ideal observer and no substeps: every reference input
     # is a function of the trace row, so the oracle rebuilds them and steps
     # ReferenceSystem.step itself; x_r(k) is compared with x(k) for k = 1..n
-    from sea_l1ac.controllers import ReferenceSystem, ideal_motor_side_compensation
+    from sea_l1ac.controllers import (
+        L1Controller, ReferenceSystem, ideal_motor_side_compensation,
+    )
     from sea_l1ac.nominal import build_nominal_model, build_rrc_gains
     from sea_l1ac.plant import _link_gravity_gains, _rk4_tuple, contact_torque, gravity_gain
 
@@ -133,8 +154,10 @@ def test_reference_error_compares_the_same_sample_instants(contact_stiffness):
                  contact_stiffness=contact_stiffness, contact_position=1.2)
     trace = run_scenario(cfg)
     params, env = cfg.make_params(), cfg.make_environment()
-    model = build_nominal_model(params, build_rrc_gains(params))
-    ref = ReferenceSystem(model, L1Config(T_s=cfg.T_s, T=cfg.T, K_a=cfg.K_a))
+    gains = build_rrc_gains(params)
+    model = build_nominal_model(params, gains)
+    ref = ReferenceSystem(L1Controller(params, gains, model,
+                                       L1Config(T_s=cfg.T_s, T=cfg.T, K_a=cfg.K_a)))
     cols = ("q_rad", "dq_rad_per_s", "theta_rad", "dtheta_rad_per_s")
     xs = np.column_stack([trace[c] for c in cols])
     final = _rk4_tuple(tuple(xs[-1]), float(trace["tau_m_Nm"][-1]), cfg.T_s, params, env,
@@ -760,6 +783,32 @@ def test_cli_missing_config_reports_config_error(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "absent.ini"), "--out-dir", str(tmp_path)])
     assert rc == 2
     assert '"error": "config"' in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("tuning, category, code", [
+    ("filter_time_constant = 0.0005", "config", 2),  # T below T_s
+    ("filter_gain = -1.0", "config", 2),
+    ("filter_gain = 100.0", "config", 2),  # K_a T >= 8/9: C(s) unstable
+    ("observer_bandwidth = 50.0", "config", 2),  # below 10 omega
+    ("sample_period = 0.008", "numeric", 3),  # the loop diverges
+], ids=["T", "K_a", "K_a-T", "g_ob", "diverges"])
+def test_cli_suite_reports_a_failed_scenario_as_run_does(tmp_path, capsys, tuning, category,
+                                                           code):
+    (tmp_path / "one.ini").write_text(
+        f"[scenario]\nname = one\ncontroller = l1ac\nduration = 6.0\n\n[tuning]\n{tuning}\n")
+    manifest = tmp_path / "suite.ini"
+    manifest.write_text("[suite]\nname = s\nscenarios = one.ini\n")
+    for argv in (["run", str(tmp_path / "one.ini")], ["suite", str(manifest)]):
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == code
+        assert f'"error": "{category}"' in capsys.readouterr().err
+    # with both kinds of failure the suite reports the graver one
+    (tmp_path / "two.ini").write_text(
+        "[scenario]\nname = two\n\n[tuning]\nfilter_time_constant = 0.0005\n")
+    manifest.write_text("[suite]\nname = s\nscenarios =\n    one.ini\n    two.ini\n")
+    assert main(["suite", str(manifest), "--out-dir", str(tmp_path / "out")]) == code
+    assert f'"error": "{category}"' in capsys.readouterr().err
 
 
 def test_cli_analyze(tmp_path, capsys):
