@@ -5,10 +5,8 @@ analysis used to validate the filter design."""
 
 from .analysis import (
     ConditionReport,
-    L1NormResult,
     RootLocusResult,
     StabilityBudget,
-    StateSpace,
     UnstableSystemError,
     analytic_nominal_response,
     check_stability_condition,
@@ -43,7 +41,6 @@ from .harness import (
 from .nominal import (
     NominalModel,
     RrcGains,
-    TransferFunction,
     build_nominal_model,
     build_rrc_gains,
     transfer_from_state_space,

@@ -13,7 +13,7 @@ Everything here is pure and safe to evaluate from concurrent workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -194,49 +194,17 @@ def root_locus(omega: float, lambda_grid) -> RootLocusResult:
 # L1 (peak gain) norms from impulse-response quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StateSpace:
-    """Minimal (A, B, C, D) container used by the norm machinery."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-
-    @staticmethod
-    def make(A, B, C, D=None) -> "StateSpace":
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        B = np.asarray(B, dtype=float)
-        if B.ndim == 1:
-            B = B[:, None]
-        C = np.atleast_2d(np.asarray(C, dtype=float))
-        if D is None:
-            D = np.zeros((C.shape[0], B.shape[1]))
-        D = np.atleast_2d(np.asarray(D, dtype=float))
-        return StateSpace(A, B, C, D)
-
-
-@dataclass(frozen=True)
-class L1NormResult:
-    """Quadrature value with a slowest-pole truncation-tail bound."""
-
-    value: float
-    tail_bound: float
-    entrywise: np.ndarray = field(repr=False)
-
-
-def l1_norm(system: StateSpace) -> L1NormResult:
-    """Integral of the absolute impulse response, max row sum for MIMO.
+def l1_norm(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
+    """L1 norm of the strictly proper system (A, B, C): the integral of the
+    absolute impulse response C e^{A t} B, max row sum for MIMO.
 
     The impulse response is marched over 20 slowest time constants with the
     exact one-step propagator e^{A dt}, dt a hundredth of the fastest time
     constant, a block of steps at a time through its stacked powers, and
-    integrated with the trapezoidal rule; any feedthrough contributes |D|
-    directly. The reported tail bound extrapolates the final sample with the
-    slowest pole's decay rate. Raises UnstableSystemError for systems that
-    are not strictly stable.
+    integrated with the trapezoidal rule. ``B`` and ``C`` are 2-D, one
+    column per input and one row per output. Raises UnstableSystemError for
+    systems that are not strictly stable.
     """
-    A, B, C, D = system.A, system.B, system.C, system.D
     eig = np.linalg.eigvals(A)
     alpha = float(np.max(eig.real))
     if alpha >= 0.0:
@@ -258,13 +226,7 @@ def l1_norm(system: StateSpace) -> L1NormResult:
         g = np.abs(C @ Xs)
         acc += (0.5 * dt) * (g_prev + 2.0 * g[:-1].sum(axis=0) + g[-1])
         X, g_prev = Xs[-1], g[-1]
-    entrywise = acc + np.abs(D)
-    tail = float(np.max(np.sum(g_prev * tau_slow, axis=1)))
-    return L1NormResult(
-        value=float(np.max(np.sum(entrywise, axis=1))),
-        tail_bound=tail,
-        entrywise=entrywise,
-    )
+    return float(np.max(np.sum(acc, axis=1)))
 
 
 def filtered_resolvent(
@@ -272,12 +234,10 @@ def filtered_resolvent(
     input_columns: np.ndarray,
     filter_num: np.ndarray,
     filter_den: np.ndarray,
-) -> StateSpace:
-    """State output of (sI - A_m)^-1 [columns] with a scalar filter on every
-    input channel; used to assemble the reference-loop transfer pieces."""
-    cols = np.asarray(input_columns, dtype=float)
-    if cols.ndim == 1:
-        cols = cols[:, None]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, C) of the state output of (sI - A_m)^-1 [columns] with a scalar
+    filter on every input channel: one reference-loop transfer piece."""
+    cols = np.asarray(input_columns, dtype=float).reshape(len(model.A_m), -1)
     Af, Bf, Cf, Df = observable_realization([filter_num], filter_den)
     nf = Af.shape[0]
     m = cols.shape[1]
@@ -294,11 +254,11 @@ def filtered_resolvent(
     B[m * nf:, :] = cols * Df[0, 0]
     C = np.zeros((n, m * nf + n))
     C[:, m * nf:] = np.eye(n)
-    return StateSpace.make(A, B, C)
+    return A, B, C
 
 
 def reference_loop_pieces(model: NominalModel, cfg: L1Config):
-    """The three transfer blocks of the idealized reference loop.
+    """The three (A, B, C) transfer blocks of the idealized reference loop.
 
     G_1 = (sI - A_m)^-1 B_m  (1 - C(s))   matched-disturbance path
     G_2 = (sI - A_m)^-1 B_um (1 - C(s))   unmatched-disturbance path
@@ -336,8 +296,8 @@ class StabilityBudget:
 
     def __post_init__(self):
         for name in ("L_1", "B_1", "L_2", "B_2"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < math.inf:  # nan fails too
+                raise ValueError(f"{name} must be nonnegative and finite")
 
     @property
     def l_0(self) -> float:
@@ -408,13 +368,15 @@ def check_stability_condition(
 ) -> ConditionReport:
     """Certify that some finite reference bound rho_r satisfies
 
-        ||G_1|| l_0 + ||G_2|| < (rho_r + ||G_d|| |q_d|_peak) / (L_2 rho_r + B_0)
+        ||G_1|| l_0 + ||G_2|| < (rho_r - ||G_d|| |K_g| |q_d|_peak) / (L_2 rho_r + B_0)
 
-    The check searches rho_r over a logarithmic grid (or uses the budget's
-    fixed candidate) and reports the best margin (RHS - LHS). An unstable
-    closed filter C(s) makes the norms infinite; that case is reported as
-    violated rather than raised, since it is a legitimate answer about a
-    candidate design.
+    (Hovakimyan & Cao, L1 Adaptive Control Theory, SIAM 2010): the command
+    enters the loop as K_g q_d, and its share of the state peak comes off
+    rho_r. A zero denominator holds when the numerator is positive. The
+    check searches rho_r over a logarithmic grid from the command's share up
+    (or uses the budget's fixed candidate) and reports the best margin
+    (RHS - LHS). An unstable closed filter C(s) makes the norms infinite;
+    that is reported as violated, not raised: it answers about a candidate.
     """
     num_c, den = shaping_filter_polynomials(cfg.T, cfg.K_a)
     if np.max(np.roots(den).real) >= 0.0:
@@ -423,10 +385,7 @@ def check_stability_condition(
             rho_best=math.nan, norm_g1=math.inf, norm_g2=math.inf,
             norm_gd=math.inf, reason="closed filter C(s) unstable",
         )
-    g1, g2, gd = reference_loop_pieces(model, cfg)
-    n1 = l1_norm(g1).value
-    n2 = l1_norm(g2).value
-    nd = l1_norm(gd).value
+    n1, n2, nd = (l1_norm(*g) for g in reference_loop_pieces(model, cfg))
 
     l0, b0 = budget.l_0, budget.B_0
     lhs = n1 * l0 + n2
@@ -437,15 +396,16 @@ def check_stability_condition(
             reason="degenerate budget (infinite l_0 or B_0)",
         )
 
-    feedthrough = nd * abs(qd_peak)
+    command = nd * abs(model.K_g) * abs(qd_peak)
     if budget.rho_r is not None:
         rhos = np.array([budget.rho_r])
     else:
-        lo = max(feedthrough, 1e-6)
+        lo = max(command, 1e-6)
         rhos = np.logspace(math.log10(lo), 6.0, 200)
+    num = rhos - command
     denom = budget.L_2 * rhos + b0
-    with np.errstate(divide="ignore"):
-        rhs = np.where(denom > 0.0, (rhos + feedthrough) / denom, math.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhs = np.where(denom > 0.0, num / denom, np.where(num > 0.0, math.inf, -math.inf))
     best = int(np.argmax(rhs))
     margin = float(rhs[best] - lhs)
     return ConditionReport(

@@ -80,7 +80,7 @@ def _warn_condition(cfg: ScenarioConfig):
         params,
         [cfg.mass],
         max_contact_stiffness=cfg.contact_stiffness,
-        gravity_comp=cfg.gravity_on and cfg.controller == "l1ac",
+        gravity_comp=cfg.gravity_feedforward,
     )
     report = analysis.check_stability_condition(
         model, L1Config(T_s=cfg.T_s, T=cfg.T, K_a=cfg.K_a), budget,

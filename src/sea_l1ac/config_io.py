@@ -74,6 +74,30 @@ def _plant_overrides(ini: _Ini) -> PlantParams | None:
         k: getattr(base, k) if v is None else v for k, v in values.items()})
 
 
+# (section, key) -> (ScenarioConfig field, converter); an absent or empty key
+# keeps the dataclass default, except that the name defaults to the file's stem
+_SCENARIO_KEYS = {
+    ("scenario", "name"): ("name", str),
+    ("scenario", "controller"): ("controller", str),
+    ("scenario", "duration"): ("duration", finite_float),
+    ("scenario", "mass"): ("mass", finite_float),
+    ("scenario", "gravity"): ("gravity_on", bool),
+    ("target", "amplitude"): ("q_d_amplitude", finite_float),
+    ("target", "start"): ("q_d_start", finite_float),
+    ("environment", "contact_stiffness"): ("contact_stiffness", finite_float),
+    ("environment", "contact_position"): ("contact_position", finite_float),
+    ("environment", "bilateral"): ("bilateral_contact", bool),
+    ("tuning", "sample_period"): ("T_s", finite_float),
+    ("tuning", "filter_time_constant"): ("T", finite_float),
+    ("tuning", "filter_gain"): ("K_a", finite_float),
+    ("tuning", "observer_bandwidth"): ("g_ob", finite_float),
+    ("tuning", "substeps"): ("substeps", int),
+    ("limits", "torque"): ("torque_limit", finite_float),
+    ("simulation", "ideal_dob"): ("ideal_dob", bool),
+    ("simulation", "decimate"): ("decimate", int),
+}
+
+
 def scenario_from_ini(path) -> ScenarioConfig:
     """Load one scenario definition from an INI file."""
     path = Path(path)
@@ -81,27 +105,10 @@ def scenario_from_ini(path) -> ScenarioConfig:
     if not ini.parser.has_section("scenario"):
         raise ConfigError(f"{path}: missing [scenario] section")
     try:
-        fields = dict(
-            name=ini.get("scenario", "name", str, path.stem),
-            controller=ini.get("scenario", "controller", str, "l1ac"),
-            duration=ini.get("scenario", "duration", finite_float, 3.0),
-            mass=ini.get("scenario", "mass", finite_float, 1.5),
-            gravity_on=ini.get("scenario", "gravity", bool, True),
-            q_d_amplitude=ini.get("target", "amplitude", finite_float, math.pi / 2),
-            q_d_start=ini.get("target", "start", finite_float, 0.0),
-            contact_stiffness=ini.get("environment", "contact_stiffness", finite_float, 0.0),
-            contact_position=ini.get("environment", "contact_position", finite_float, 0.0),
-            bilateral_contact=ini.get("environment", "bilateral", bool, False),
-            T_s=ini.get("tuning", "sample_period", finite_float, 1e-3),
-            T=ini.get("tuning", "filter_time_constant", finite_float, 0.01),
-            K_a=ini.get("tuning", "filter_gain", finite_float, 10.0),
-            g_ob=ini.get("tuning", "observer_bandwidth", finite_float, 500.0),
-            substeps=ini.get("tuning", "substeps", int, 1),
-            torque_limit=ini.get("limits", "torque", finite_float, None),
-            ideal_dob=ini.get("simulation", "ideal_dob", bool, False),
-            decimate=ini.get("simulation", "decimate", int, 1),
-            params=_plant_overrides(ini),
-        )
+        values = {name: ini.get(section, key, conv, None)
+                  for (section, key), (name, conv) in _SCENARIO_KEYS.items()}
+        fields = {"name": path.stem, "params": _plant_overrides(ini)}
+        fields.update((k, v) for k, v in values.items() if v is not None)
         ini.check_unknown()
         return ScenarioConfig(**fields)
     except ConfigError:

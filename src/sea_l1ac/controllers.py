@@ -69,8 +69,8 @@ class DisturbanceObserver:
     """
 
     def __init__(self, g_ob: float, params: PlantParams, dt: float):
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < dt < math.inf:  # nan fails too
+            raise ValueError("dt must be positive and finite")
         # written so that nan fails; omega > 0, so this rejects g_ob <= 0 too
         if not 10.0 * params.omega <= g_ob < math.inf:
             raise ValueError(
@@ -89,6 +89,14 @@ class DisturbanceObserver:
         """Push one sample of the applied torque and motor velocity."""
         v = tau_m_applied + self._gain * dtheta
         self._state = self._decay * self._state + (1.0 - self._decay) * v
+
+
+def _check_law_options(gravity_comp, torque_limit):
+    """Reject a non-bool ``gravity_comp`` and a torque limit the clamp would misread."""
+    if not isinstance(gravity_comp, bool):
+        raise ValueError("gravity_comp must be a bool")
+    if torque_limit is not None and not 0.0 < torque_limit < math.inf:
+        raise ValueError("torque_limit must be positive and finite when set")
 
 
 def ideal_motor_side_compensation(state, params: PlantParams) -> float:
@@ -114,6 +122,7 @@ class RrcController:
         gravity_comp: bool = True,
         torque_limit: float | None = None,
     ):
+        _check_law_options(gravity_comp, torque_limit)
         self.params = params
         self.gains = gains
         self.gravity_comp = gravity_comp
@@ -187,21 +196,21 @@ def build_filter_bank(model: NominalModel, cfg: L1Config):
     if np.max(poles.real) >= 0.0:
         raise ValueError("closed low-pass filter C(s) is unstable for this (T, K_a)")
 
-    h_m = model.H_m()
-    num_m = _trim_leading(h_m.num)
+    num_hm, den_hm = model.H_m()
+    num_m = _trim_leading(num_hm)
     if len(num_m) != 1:
         raise ValueError(
             "matched channel does not have full relative degree; the combined "
             "filter C(s) H_m^-1(s) H_um(s) cannot be realized over C's denominator"
         )
     # properness of C(s) H_m^-1(s): relative degree of den(C) against den(A_m)
-    if (len(den) - 1) < (len(h_m.den) - 1):
+    if (len(den) - 1) < (len(den_hm) - 1):
         raise ValueError("C(s) H_m^-1(s) is improper for this filter order")
 
     order = len(den) - 1
     numerators = [num_c]
     for j in range(3):
-        num_umj = _trim_leading(model.H_um(j).num)
+        num_umj = _trim_leading(model.H_um(j)[0])
         if len(num_umj) - 1 > order - 1:
             raise ValueError(f"combined filter channel {j} is not strictly proper")
         numerators.append(cfg.K_a * num_umj / num_m[0])
@@ -251,6 +260,7 @@ class L1Controller:
         gravity_comp: bool = True,
         torque_limit: float | None = None,
     ):
+        _check_law_options(gravity_comp, torque_limit)
         self.params = params
         self.gains = gains
         self.model = model

@@ -98,6 +98,11 @@ class ScenarioConfig:
         if self.torque_limit is not None and not 0.0 < self.torque_limit < math.inf:
             raise ConfigError("torque limit must be positive when set")
 
+    @property
+    def gravity_feedforward(self) -> bool:
+        """The adaptive law feeds gravity forward: ``l1ac`` with gravity on."""
+        return self.gravity_on and self.controller == "l1ac"
+
     def make_params(self) -> PlantParams:
         base = self.params if self.params is not None else benchmark_params()
         return base.with_mass(self.mass)
@@ -233,7 +238,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
             gains,
             model,
             L1Config(T_s=cfg.T_s, T=cfg.T, K_a=cfg.K_a),
-            gravity_comp=cfg.gravity_on and cfg.controller == "l1ac",
+            gravity_comp=cfg.gravity_feedforward,
             torque_limit=cfg.torque_limit,
         )
 

@@ -26,7 +26,6 @@ class RrcGains:
     K_p: float
     K_r: float
     K_v: float
-    omega: float
     K: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -34,12 +33,11 @@ class RrcGains:
 
 
 def build_rrc_gains(params: PlantParams) -> RrcGains:
-    omega = params.omega
     K_p = params.K_f / params.J_a
     K_r = 4.0 / params.J_a
-    K_v = 4.0 * omega
+    K_v = 4.0 * params.omega
     K = np.array([-K_r * params.K_f, 0.0, K_p + K_r * params.K_f, K_v])
-    return RrcGains(K_p=K_p, K_r=K_r, K_v=K_v, omega=omega, K=K)
+    return RrcGains(K_p=K_p, K_r=K_r, K_v=K_v, K=K)
 
 
 def open_loop_matrix(params: PlantParams) -> np.ndarray:
@@ -69,12 +67,12 @@ class NominalModel:
         """[B_m B_um], a 4x4 permutation of identity columns."""
         return np.column_stack([self.B_m, self.B_um])
 
-    def H_m(self) -> "TransferFunction":
-        """Transfer from the matched input to the output y = c x."""
+    def H_m(self) -> tuple[np.ndarray, np.ndarray]:
+        """(num, den) of the transfer from the matched input to y = c x."""
         return transfer_from_state_space(self.A_m, self.B_m, self.c)
 
-    def H_um(self, column: int) -> "TransferFunction":
-        """Transfer from unmatched input ``column`` (0..2) to the output."""
+    def H_um(self, column: int) -> tuple[np.ndarray, np.ndarray]:
+        """(num, den) from unmatched input ``column`` (0..2) to y = c x."""
         return transfer_from_state_space(self.A_m, self.B_um[:, column], self.c)
 
 
@@ -101,32 +99,9 @@ def build_nominal_model(params: PlantParams, gains: RrcGains) -> NominalModel:
     return NominalModel(A_m=A_m, B_m=B_m, B_um=B_um, c=c, K_g=K_g)
 
 
-class TransferFunction:
-    """Real-rational transfer function stored as descending-power coefficients.
-
-    ``num``/``den`` keep whatever scaling they were built with; ``den`` must
-    have a nonzero leading coefficient.
-    """
-
-    def __init__(self, num, den):
-        self.num = np.atleast_1d(np.asarray(num, dtype=float))
-        self.den = np.atleast_1d(np.asarray(den, dtype=float))
-        if self.den[0] == 0.0:
-            raise ValueError("denominator leading coefficient must be nonzero")
-
-    def __call__(self, s):
-        """Evaluate at complex frequency ``s`` (scalar or array)."""
-        return np.polyval(self.num, s) / np.polyval(self.den, s)
-
-    def dc_gain(self) -> float:
-        return float(self(0.0).real)
-
-    def __repr__(self):
-        return f"TransferFunction(num={self.num!r}, den={self.den!r})"
-
-
-def transfer_from_state_space(A, B, c) -> TransferFunction:
-    """Exact polynomial form of c (sI - A)^-1 B for a SISO channel.
+def transfer_from_state_space(A, B, c) -> tuple[np.ndarray, np.ndarray]:
+    """Exact polynomial form (num, den) of c (sI - A)^-1 B for a SISO
+    channel, descending powers of s, both of length n + 1.
 
     Uses the Faddeev-LeVerrier adjugate expansion, so numerator and
     denominator come out of one finite recursion instead of a fit; the
@@ -147,4 +122,4 @@ def transfer_from_state_space(A, B, c) -> TransferFunction:
         M = A @ R
         den[k] = -np.trace(M) / k
         R = M + den[k] * np.eye(n)
-    return TransferFunction(num, den)
+    return num, den

@@ -83,3 +83,5 @@ class EnvironmentModel:
             raise ValueError("contact stiffness K_e must be nonnegative and finite")
         if not -math.inf < self.q_0 < math.inf:
             raise ValueError("contact position q_0 must be finite")
+        if not isinstance(self.bilateral, bool):
+            raise ValueError("bilateral must be a bool")

@@ -15,11 +15,16 @@ from sea_l1ac import (
     DisturbanceObserver,
     EnvironmentModel,
     L1Config,
+    L1Controller,
+    RrcController,
     RunTrace,
     ScenarioConfig,
+    StabilityBudget,
     SuiteConfig,
     analytic_nominal_response,
     benchmark_params,
+    build_nominal_model,
+    build_rrc_gains,
     compute_metrics,
     export_plotscript,
     export_trace,
@@ -86,8 +91,19 @@ def _plant(**kwargs):
     return replace(benchmark_params(), **kwargs)
 
 
-def _observer(g_ob):
-    return DisturbanceObserver(g_ob, benchmark_params(), 1e-3)
+def _observer(g_ob=500.0, dt=1e-3):
+    return DisturbanceObserver(g_ob, benchmark_params(), dt)
+
+
+def _rrc(**kwargs):
+    params = benchmark_params()
+    return RrcController(params, build_rrc_gains(params), **kwargs)
+
+
+def _l1(**kwargs):
+    params = benchmark_params()
+    gains = build_rrc_gains(params)
+    return L1Controller(params, gains, build_nominal_model(params, gains), L1Config(), **kwargs)
 
 
 @pytest.mark.parametrize("factory, kwargs, error", [
@@ -119,6 +135,17 @@ def _observer(g_ob):
     (_observer, {"g_ob": 0.0}, ValueError),
     (_observer, {"g_ob": -500.0}, ValueError),
     (_observer, {"g_ob": 50.0}, ValueError),
+    (_observer, {"dt": math.nan}, ValueError),
+    (_observer, {"dt": math.inf}, ValueError),
+    (EnvironmentModel, {"K_e": 100.0, "bilateral": "no"}, ValueError),
+    (_rrc, {"gravity_comp": "off"}, ValueError),
+    (_rrc, {"torque_limit": math.nan}, ValueError),
+    (_rrc, {"torque_limit": -5.0}, ValueError),
+    (_l1, {"gravity_comp": "off"}, ValueError),
+    (_l1, {"torque_limit": math.nan}, ValueError),
+    (_l1, {"torque_limit": -5.0}, ValueError),
+    (StabilityBudget, {"L_2": math.nan, "B_2": 1.0}, ValueError),
+    (StabilityBudget, {"B_1": math.inf}, ValueError),
     (_plant, {"f_m": math.nan}, ValueError),
     (_plant, {"m": math.nan}, ValueError),
     (_plant, {"G_0": math.nan}, ValueError),
@@ -538,6 +565,30 @@ def test_scenario_ini_plant_overrides(tmp_path):
     params = cfg.make_params()
     assert params.J_a == 0.5 and params.K_f == 100.0 and params.m == 2.0
     assert params.J_m == benchmark_params().J_m  # untouched fields keep defaults
+
+
+def test_scenario_ini_reads_every_key_and_keeps_the_dataclass_defaults(tmp_path):
+    from sea_l1ac.config_io import scenario_from_ini
+
+    bare = tmp_path / "bare.ini"
+    bare.write_text("[scenario]\n")
+    assert scenario_from_ini(bare) == ScenarioConfig(name="bare")
+    full = tmp_path / "full.ini"
+    full.write_text(
+        "[scenario]\nname = x\ncontroller = rrc\nduration = 2.0\nmass = 0.75\n"
+        "gravity = off\n[target]\namplitude = 0.5\nstart = 0.1\n"
+        "[environment]\ncontact_stiffness = 100.0\ncontact_position = 0.3\n"
+        "bilateral = yes\n[tuning]\nsample_period = 0.002\n"
+        "filter_time_constant = 0.02\nfilter_gain = 5.0\nobserver_bandwidth = 400.0\n"
+        "substeps = 2\n[limits]\ntorque = 30.0\n[simulation]\nideal_dob = yes\n"
+        "decimate = 3\n"
+    )
+    assert scenario_from_ini(full) == ScenarioConfig(
+        name="x", controller="rrc", duration=2.0, mass=0.75, gravity_on=False,
+        q_d_amplitude=0.5, q_d_start=0.1, contact_stiffness=100.0,
+        contact_position=0.3, bilateral_contact=True, T_s=0.002, T=0.02, K_a=5.0,
+        g_ob=400.0, substeps=2, torque_limit=30.0, ideal_dob=True, decimate=3,
+    )
 
 
 def test_shipped_configs_parse():
