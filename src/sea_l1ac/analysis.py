@@ -2,8 +2,8 @@
 
 Covers the exact zero-order-hold pair (E, Phi), the polynomials of the
 low-pass filter C(s), one observable-canonical realization for filters over
-a shared denominator, polynomial root finding with a repeated-root
-refinement, the contact-stiffness root locus, peak-gain (L1) norms from
+a shared denominator, polynomial roots, the contact-stiffness root locus
+solved about its repeated nominal pole, peak-gain (L1) norms from
 impulse-response quadrature, the filter design condition that certifies the
 reference system's bound, and the closed-form nominal step response.
 
@@ -88,50 +88,16 @@ def observable_realization(numerators, den):
 # ---------------------------------------------------------------------------
 
 def polynomial_roots(coeffs) -> np.ndarray:
-    """Roots via companion-matrix eigenvalues with a cluster refinement.
+    """Roots of a polynomial of degree at least 1 (leading zeros dropped),
+    as companion-matrix eigenvalues.
 
-    Companion eigenvalues of a polynomial with an m-fold root carry an
-    O(eps^(1/m)) error that splits the root into a tight cluster. The first
-    moment of such a cluster is accurate to O(eps), so groups of computed
-    roots closer than a small relative radius are collapsed onto their
-    centroid. The collapse is kept only if it does not worsen the
-    re-expansion residual against the input coefficients.
+    An m-fold root comes back as a cluster of radius O(eps^(1/m)) about it;
+    callers that know a repeated root write the polynomial about it instead.
     """
-    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    c = np.trim_zeros(c, "f")
+    c = np.trim_zeros(np.atleast_1d(np.asarray(coeffs, dtype=float)), "f")
     if len(c) < 2:
         raise ValueError("polynomial degree must be at least 1")
-    raw = np.roots(c)
-    merged = _collapse_clusters(raw)
-    if _expansion_residual(c, merged) <= _expansion_residual(c, raw) * 4.0 + 1e-300:
-        return merged
-    return raw
-
-
-def _collapse_clusters(roots: np.ndarray, rel_radius: float = 2e-3) -> np.ndarray:
-    scale = max(1.0, float(np.max(np.abs(roots)))) if len(roots) else 1.0
-    radius = rel_radius * scale
-    out = np.array(roots, dtype=complex)
-    used = np.zeros(len(out), dtype=bool)
-    for i in range(len(out)):
-        if used[i]:
-            continue
-        members = [i]
-        for j in range(i + 1, len(out)):
-            if not used[j] and abs(out[i] - out[j]) < radius:
-                members.append(j)
-                used[j] = True
-        if len(members) > 1:
-            centroid = np.mean(out[members])
-            if abs(centroid.imag) < radius:
-                centroid = complex(centroid.real, 0.0)
-            out[members] = centroid
-    return out
-
-
-def _expansion_residual(coeffs: np.ndarray, roots: np.ndarray) -> float:
-    rebuilt = np.real_if_close(np.poly(roots), tol=1e6).real * coeffs[0]
-    return float(np.max(np.abs(rebuilt - coeffs)) / np.max(np.abs(coeffs)))
+    return np.roots(c)
 
 
 def contact_polynomial(omega: float, lam: float) -> np.ndarray:
@@ -140,7 +106,8 @@ def contact_polynomial(omega: float, lam: float) -> np.ndarray:
     Q(s) = s^4 + 4 w s^3 + (6 w^2 + lam) s^2 + (4 w^3 + 4 w lam) s
          + (w^4 + 5 lam w^2),   lam = K_e / J_a.
 
-    At lam = 0 this collapses to (s + w)^4.
+    It is (s + w)^4 + lam ((s + 2 w)^2 + w^2), so at lam = 0 it collapses
+    to (s + w)^4.
     """
     w = omega
     return np.array([
@@ -175,16 +142,20 @@ class RootLocusResult:
 
 
 def root_locus(omega: float, lambda_grid) -> RootLocusResult:
-    """Roots of the contact characteristic polynomial over a lambda grid."""
+    """Roots of the contact characteristic polynomial over a lambda grid.
+
+    The roots are solved about the nominal pole -w: in p = s + w the
+    polynomial is p^4 + lam p^2 + 2 w lam p + 2 w^2 lam, whose four roots
+    at lam = 0 are exactly p = 0, so that row is exactly -w.
+    """
     lam = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
     if np.any(lam < 0.0):
         raise ValueError("lambda gridpoints must be nonnegative")
     roots = np.empty((len(lam), 4), dtype=complex)
     flags = np.zeros(len(lam), dtype=bool)
     for i, lv in enumerate(lam):
-        r = polynomial_roots(contact_polynomial(omega, lv))
-        order = np.argsort(r.real)
-        roots[i] = r[order]
+        r = polynomial_roots([1.0, 0.0, lv, 2.0 * omega * lv, 2.0 * omega * omega * lv]) - omega
+        roots[i] = r[np.lexsort((-r.imag, r.real))]  # by real part, +imag first
         scale = max(1.0, float(np.max(np.abs(r))))
         flags[i] = bool(np.any(np.abs(r.imag) > 1e-8 * scale))
     return RootLocusResult(lam=lam, roots=roots, has_conjugate_pair=flags)
@@ -332,6 +303,9 @@ class StabilityBudget:
         masses = list(masses)
         if not masses:
             raise ValueError("envelope needs at least one test mass")
+        for m in masses:
+            if not 0.0 <= m < math.inf:  # nan fails too
+                raise ValueError(f"test mass {m!r} must be nonnegative and finite")
         if gravity_comp:
             worst = max(abs(m - params.m_0) for m in masses)
         else:
@@ -368,15 +342,22 @@ def check_stability_condition(
 ) -> ConditionReport:
     """Certify that some finite reference bound rho_r satisfies
 
-        ||G_1|| l_0 + ||G_2|| < (rho_r - ||G_d|| |K_g| |q_d|_peak) / (L_2 rho_r + B_0)
+        ||G_1|| l_0 + ||G_2|| < (rho_r - c) / (L_2 rho_r + B_0),
+        c = ||G_d|| |K_g| |q_d|_peak
 
     (Hovakimyan & Cao, L1 Adaptive Control Theory, SIAM 2010): the command
-    enters the loop as K_g q_d, and its share of the state peak comes off
-    rho_r. A zero denominator holds when the numerator is positive. The
-    check searches rho_r over a logarithmic grid from the command's share up
-    (or uses the budget's fixed candidate) and reports the best margin
-    (RHS - LHS). An unstable closed filter C(s) makes the norms infinite;
-    that is reported as violated, not raised: it answers about a candidate.
+    enters the loop as K_g q_d, and its share c of the state peak comes off
+    rho_r. A zero denominator holds when the numerator is positive.
+
+    With the budget's fixed candidate rho_r the report is about that
+    candidate alone. Without one the answer is closed-form, since the
+    right-hand side never decreases in rho_r and tends to 1/L_2 (infinity
+    when L_2 = 0): the condition holds exactly when lhs L_2 < 1, ``rho_best``
+    is the least certified bound (c + lhs B_0) / (1 - lhs L_2), every larger
+    rho_r being certified (infinite when violated), ``rhs_best`` is the
+    supremum 1/L_2, and ``margin`` is rhs_best - lhs. An unstable closed
+    filter C(s) makes the norms infinite; that is reported as violated, not
+    raised: it answers about a candidate.
     """
     num_c, den = shaping_filter_polynomials(cfg.T, cfg.K_a)
     if np.max(np.roots(den).real) >= 0.0:
@@ -397,23 +378,22 @@ def check_stability_condition(
         )
 
     command = nd * abs(model.K_g) * abs(qd_peak)
-    if budget.rho_r is not None:
-        rhos = np.array([budget.rho_r])
+    L_2 = budget.L_2
+    if budget.rho_r is None:
+        satisfied = lhs * L_2 < 1.0
+        rho = (command + lhs * b0) / (1.0 - lhs * L_2) if satisfied else math.inf
+        rhs = 1.0 / L_2 if L_2 > 0.0 else math.inf
     else:
-        lo = max(command, 1e-6)
-        rhos = np.logspace(math.log10(lo), 6.0, 200)
-    num = rhos - command
-    denom = budget.L_2 * rhos + b0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rhs = np.where(denom > 0.0, num / denom, np.where(num > 0.0, math.inf, -math.inf))
-    best = int(np.argmax(rhs))
-    margin = float(rhs[best] - lhs)
+        rho = budget.rho_r
+        num, denom = rho - command, L_2 * rho + b0
+        rhs = num / denom if denom > 0.0 else (math.inf if num > 0.0 else -math.inf)
+        satisfied = rhs > lhs
     return ConditionReport(
-        satisfied=bool(margin > 0.0),
-        margin=margin,
+        satisfied=bool(satisfied),
+        margin=rhs - lhs,
         lhs=lhs,
-        rhs_best=float(rhs[best]),
-        rho_best=float(rhos[best]),
+        rhs_best=rhs,
+        rho_best=float(rho),
         norm_g1=n1,
         norm_g2=n2,
         norm_gd=nd,

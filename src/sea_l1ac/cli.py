@@ -168,11 +168,9 @@ def _cmd_analyze(args) -> int:
         "T_s", "T", "K_a", "satisfied", "margin", "lhs", "rhs_best", "rho_best",
         "norm_G1", "norm_G2", "norm_Gd", "reason",
     ]]
-    all_ok = True
     for T in job["time_constants"]:
         cfg = L1Config(T_s=job["sample_period"], T=T, K_a=job["filter_gain"])
         rep = analysis.check_stability_condition(model, cfg, budget, qd_peak=job["qd_peak"])
-        all_ok &= rep.satisfied
         rows.append([
             cfg.T_s, T, cfg.K_a, int(rep.satisfied), rep.margin, rep.lhs,
             rep.rhs_best, rep.rho_best, rep.norm_g1, rep.norm_g2, rep.norm_gd,

@@ -47,6 +47,13 @@ CONTROLLER_KINDS = ("rrc", "l1ac", "l1ac-nogc")
 _KIND_ALIASES = {"l1ac-no-gravity-comp": "l1ac-nogc"}
 
 
+def _check_file_stem(name, what: str):
+    """Output files are named after scenarios and suites, so a name must be a
+    plain file stem: a non-empty str with no path separator, not . or .."""
+    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ConfigError(f"{what} name must be a plain file name, not {name!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything needed to reproduce one closed-loop experiment."""
@@ -73,6 +80,9 @@ class ScenarioConfig:
     params: PlantParams | None = None
 
     def __post_init__(self):
+        _check_file_stem(self.name, "scenario")
+        if not isinstance(self.controller, str):
+            raise ConfigError(f"controller kind must be a str, not {self.controller!r}")
         kind = _KIND_ALIASES.get(self.controller.lower(), self.controller.lower())
         object.__setattr__(self, "controller", kind)
         if kind not in CONTROLLER_KINDS:
@@ -485,6 +495,7 @@ class SuiteConfig:
     scenarios: tuple[ScenarioConfig, ...]
 
     def __post_init__(self):
+        _check_file_stem(self.name, "suite")
         names = [s.name for s in self.scenarios]
         if len(set(names)) != len(names):
             raise ConfigError("scenario names within a suite must be unique")

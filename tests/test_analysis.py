@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from sea_l1ac import (
     polynomial_roots,
     root_locus,
 )
+from sea_l1ac import analysis
 from sea_l1ac.analysis import hold_response, reference_loop_pieces, shaping_filter_polynomials
 
 
@@ -78,10 +81,11 @@ def test_hold_integral_matches_series(model):
 # polynomial roots and root locus
 # ---------------------------------------------------------------------------
 
-def test_quadruple_root_is_recovered(params):
-    w = params.omega
-    roots = polynomial_roots(np.poly([-w] * 4))
-    assert np.max(np.abs(roots + w)) < 1e-4 * w
+def test_root_locus_is_exactly_minus_omega_at_zero_stiffness(params):
+    # the 4-fold nominal pole: solving about -omega gives it to the last bit,
+    # where companion eigenvalues of the s-polynomial scatter by eps^(1/4)
+    res = root_locus(params.omega, [0.0])
+    assert np.array_equal(res.roots[0], np.full(4, -params.omega))
 
 
 def test_simple_imaginary_pair():
@@ -293,6 +297,58 @@ def test_condition_degenerate_budget_reported(model):
     assert not rep.satisfied and "degenerate" in rep.reason
 
 
+_TUNINGS = [(0.01, 10.0), (0.005, 40.0), (0.02, 10.0)]
+_L1_NORMS = {}  # pure values of l1_norm, keyed by the system's bytes
+
+
+def _check_once(model, cfg, budget, qd_peak=math.pi / 2):
+    """check_stability_condition with the three L1 norms of each tuning
+    computed once: the property below calls it hundreds of times."""
+    def cached_l1_norm(A, B, C):
+        key = (A.tobytes(), A.shape, B.tobytes(), B.shape, C.tobytes())
+        if key not in _L1_NORMS:
+            _L1_NORMS[key] = l1_norm(A, B, C)
+        return _L1_NORMS[key]
+
+    with mock.patch.object(analysis, "l1_norm", cached_l1_norm):
+        return check_stability_condition(model, cfg, budget, qd_peak=qd_peak)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tuning=st.sampled_from(_TUNINGS),
+    l0=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+    load=st.one_of(st.just(0.0), st.floats(1e-3, 0.999), st.floats(1.001, 3.0)),
+    B_1=st.floats(0.0, 10.0),
+    B_2=st.floats(0.0, 10.0),
+    qd=st.floats(0.01, 3.0),
+)
+def test_rho_best_is_the_least_bound_the_fixed_candidate_certifies(
+        model, tuning, l0, load, B_1, B_2, qd):
+    # load = lhs L_2: the condition holds exactly when it is below 1
+    cfg = L1Config(T=tuning[0], K_a=tuning[1])
+    norms = _check_once(model, cfg, StabilityBudget(), qd)
+    L_2 = load / (norms.norm_g1 * l0 + norms.norm_g2)
+    budget = StabilityBudget(L_1=l0 * L_2, B_1=B_1 if l0 * L_2 > 0.0 else 0.0,
+                             L_2=L_2, B_2=B_2)
+    rep = _check_once(model, cfg, budget, qd)
+    assert rep.reason == ""
+    assert rep.satisfied == (load < 1.0)
+    assert rep.rhs_best == (1.0 / L_2 if L_2 > 0.0 else math.inf)
+    assert rep.margin == rep.rhs_best - rep.lhs
+
+    def certified(rho):
+        return _check_once(model, cfg, replace(budget, rho_r=rho), qd).satisfied
+
+    if rep.satisfied:
+        assert 0.0 < rep.rho_best < math.inf
+        assert certified(rep.rho_best * (1.0 + 1e-9))
+        assert not certified(rep.rho_best * (1.0 - 1e-9))
+    else:
+        assert rep.rho_best == math.inf
+        assert not certified(1e12)
+
+
 def test_condition_fixed_candidate(model, params):
     budget = StabilityBudget(L_2=0.0, B_2=12.8, rho_r=10.0)
     rep = check_stability_condition(model, L1Config(), budget)
@@ -307,29 +363,53 @@ def test_condition_charges_the_command_against_the_bound(model):
         assert not rep.satisfied and rep.margin < 0.0
 
 
-@pytest.mark.parametrize("T, K_a", [(0.01, 10.0), (0.005, 40.0), (0.02, 10.0)])
+def _reference_peak(ref, b2, n=2000):
+    """Peak of ||x_r||_inf under a pi/2 step command and |sigma2| = B_2 on
+    every unmatched channel: constant of either sign, or switching every
+    150 ms."""
+    square = np.where((np.arange(n) // 150) % 2 == 0, 1.0, -1.0)
+    peaks = []
+    for sign in (np.ones(n), -np.ones(n), square):
+        u = np.zeros((n, 9))
+        u[:, 1:4] = b2 * sign[:, None]
+        u[:, 4] = math.pi / 2
+        peaks.append(float(np.max(np.abs(ref.run(np.zeros(4), u)))))
+    return max(peaks)
+
+
+@pytest.mark.parametrize("T, K_a", _TUNINGS)
 def test_certified_bound_holds_in_the_reference_system(params, gains, model, T, K_a):
     # Whenever the check certifies rho_r for |sigma2|_inf <= B_2 and a
     # pi/2 step command, the reference system driven by such disturbances
-    # (constant of either sign, or switching every 150 ms) stays within it.
+    # stays within it.
     cfg = L1Config(T=T, K_a=K_a)
     ref = ReferenceSystem(L1Controller(params, gains, model, cfg))
-    n = 2000
-    square = np.where((np.arange(n) // 150) % 2 == 0, 1.0, -1.0)
     certified = 0
     for b2 in (0.0, 0.5, 2.0):
-        peaks = []
-        for sign in (np.ones(n), -np.ones(n), square):
-            u = np.zeros((n, 9))
-            u[:, 1:4] = b2 * sign[:, None]
-            u[:, 4] = math.pi / 2
-            peaks.append(float(np.max(np.abs(ref.run(np.zeros(4), u)))))
+        peak = _reference_peak(ref, b2)
         for rho in (1.0, 2.0, 5.0, 12.0, 20.0, 50.0):
             rep = check_stability_condition(model, cfg, StabilityBudget(B_2=b2, rho_r=rho))
             if rep.satisfied:
                 certified += 1
-                assert max(peaks) <= rho, (b2, rho, peaks)
+                assert peak <= rho, (b2, rho, peak)
     assert certified > 0
+
+
+_G2_DEFECT = pytest.mark.xfail(
+    strict=True, reason="reference_loop_pieces' G_2 = (sI - A_m)^-1 B_um (1 - C(s)) is the "
+    "unmatched path in the output q only, so its norm understates the full state's; at "
+    "B_2 = 2 the peak is 25.49 and rho_best 20.44")
+
+
+@pytest.mark.parametrize("T, K_a", [
+    (0.01, 10.0), pytest.param(0.005, 40.0, marks=_G2_DEFECT), (0.02, 10.0)])
+def test_least_certified_bound_holds_in_the_reference_system(params, gains, model, T, K_a):
+    cfg = L1Config(T=T, K_a=K_a)
+    ref = ReferenceSystem(L1Controller(params, gains, model, cfg))
+    for b2 in (0.0, 0.5, 2.0):
+        rep = check_stability_condition(model, cfg, StabilityBudget(B_2=b2))
+        assert rep.satisfied
+        assert _reference_peak(ref, b2) <= rep.rho_best, (b2, rep.rho_best)
 
 
 # ---------------------------------------------------------------------------

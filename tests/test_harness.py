@@ -125,6 +125,16 @@ def _l1(**kwargs):
     (ScenarioConfig, {"ideal_dob": 1}, ConfigError),
     (ScenarioConfig, {"bilateral_contact": "no"}, ConfigError),
     (ScenarioConfig, {"track_reference": None}, ConfigError),
+    (ScenarioConfig, {"name": "../escaped"}, ConfigError),
+    (ScenarioConfig, {"name": "a/b"}, ConfigError),
+    (ScenarioConfig, {"name": "a\\b"}, ConfigError),
+    (ScenarioConfig, {"name": ""}, ConfigError),
+    (ScenarioConfig, {"name": "."}, ConfigError),
+    (ScenarioConfig, {"name": ".."}, ConfigError),
+    (ScenarioConfig, {"name": 7}, ConfigError),
+    (ScenarioConfig, {"controller": None}, ConfigError),
+    (ScenarioConfig, {"controller": 3}, ConfigError),
+    (SuiteConfig, {"name": "../escaped", "scenarios": ()}, ConfigError),
     (EnvironmentModel, {"K_e": math.nan}, ValueError),
     (EnvironmentModel, {"K_e": math.inf}, ValueError),
     (EnvironmentModel, {"q_0": math.inf}, ValueError),
@@ -887,6 +897,22 @@ def test_cli_rootlocus_cells_are_plain_numbers(tmp_path):
     for row in rows:
         for cell in row.split(","):
             float(cell)
+
+
+def test_cli_rejects_a_scenario_name_that_leaves_the_output_directory(tmp_path, capsys):
+    scen = tmp_path / "s.ini"
+    scen.write_text(SCENARIO_INI.replace("name = cli_smoke", "name = ../escaped"))
+    out = tmp_path / "t" / "o1"
+    assert main(["run", str(scen), "--out-dir", str(out)]) == 2
+    assert "scenario name must be a plain file name" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
+def test_cli_condition_rejects_a_negative_test_mass(tmp_path, capsys):
+    cfgfile = tmp_path / "an.ini"
+    cfgfile.write_text("[condition]\nfilter_time_constants = 0.01\nmasses = -3.0, 1.5\n")
+    assert main(["analyze", "condition", str(cfgfile), "--out-dir", str(tmp_path / "an")]) == 2
+    assert "test mass -3.0 must be nonnegative" in capsys.readouterr().err
 
 
 def test_cli_condition_warning_for_bad_filter(tmp_path, capsys):
