@@ -35,8 +35,9 @@ from .harness import (
     ConfigError,
     ScenarioConfig,
     SimulationDivergence,
+    SuiteConfig,
+    SuiteResult,
     compute_metrics,
-    run_scenario,
     run_suite,
     summary_table,
 )
@@ -66,22 +67,19 @@ def _category(exc: Exception) -> str | None:
     return None
 
 
-def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    overrides = {"T_s": args.ts, "T": args.t_filter, "K_a": args.ka, "decimate": args.decimate}
-    return cfg.with_overrides(**{k: v for k, v in overrides.items() if v is not None})
+def _certificate(params, masses, max_contact_stiffness, gravity_comp):
+    """The nominal model and the envelope budget the design condition checks."""
+    model = build_nominal_model(params, build_rrc_gains(params))
+    budget = analysis.StabilityBudget.from_envelope(
+        params, masses, max_contact_stiffness=max_contact_stiffness, gravity_comp=gravity_comp)
+    return model, budget
 
 
 def _warn_condition(cfg: ScenarioConfig):
     if cfg.controller == "rrc":
         return
-    params = cfg.make_params()
-    model = build_nominal_model(params, build_rrc_gains(params))
-    budget = analysis.StabilityBudget.from_envelope(
-        params,
-        [cfg.mass],
-        max_contact_stiffness=cfg.contact_stiffness,
-        gravity_comp=cfg.gravity_feedforward,
-    )
+    model, budget = _certificate(cfg.make_params(), [cfg.mass], cfg.contact_stiffness,
+                                 cfg.gravity_feedforward)
     report = analysis.check_stability_condition(
         model, L1Config(T_s=cfg.T_s, T=cfg.T, K_a=cfg.K_a), budget,
         qd_peak=abs(cfg.q_d_amplitude),
@@ -93,41 +91,42 @@ def _warn_condition(cfg: ScenarioConfig):
         )
 
 
-def _cmd_run(args) -> int:
-    cfg = _apply_overrides(scenario_from_ini(args.scenario), args)
-    if args.check_condition:
-        _warn_condition(cfg)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        trace = run_scenario(cfg)
-    except SimulationDivergence as exc:
-        if exc.partial_trace is not None:
-            export_trace(exc.partial_trace, out_dir / f"{cfg.name}_partial.csv")
-        raise
-    csv_path = export_trace(trace, out_dir / f"{cfg.name}.csv")
-    export_plotscript(csv_path.name, out_dir / f"plot_{cfg.name}.py")
-    report = compute_metrics(trace, cfg)
-    print(f"trace: {csv_path}")
-    print(f"metrics: {report}")
-    return 0
-
-
-def _cmd_suite(args) -> int:
-    suite = suite_from_ini(args.manifest)
-    suite = type(suite)(
-        name=suite.name,
-        scenarios=tuple(_apply_overrides(s, args) for s in suite.scenarios),
-    )
+def _run_and_export(suite: SuiteConfig, args) -> tuple[SuiteConfig, SuiteResult, Path]:
+    """Apply the command-line overrides, warn under --check-condition, run the
+    suite, and write ``<name>.csv`` and ``plot_<name>.py`` per finished
+    scenario, or ``<name>_partial.csv`` for one that diverged."""
+    overrides = {"T_s": args.ts, "T": args.t_filter, "K_a": args.ka, "decimate": args.decimate}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    suite = SuiteConfig(name=suite.name,
+                        scenarios=tuple(s.with_overrides(**overrides) for s in suite.scenarios))
     if args.check_condition:
         for scen in suite.scenarios:
             _warn_condition(scen)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_suite(suite)
-    for name, trace in result.traces.items():
-        csv_path = export_trace(trace, out_dir / f"{name}.csv")
-        export_plotscript(csv_path.name, out_dir / f"plot_{name}.py")
+    for name in (scen.name for scen in suite.scenarios):
+        if name in result.traces:
+            export_trace(result.traces[name], out_dir / f"{name}.csv")
+            export_plotscript(f"{name}.csv", out_dir / f"plot_{name}.py")
+        exc = result.errors.get(name)
+        if isinstance(exc, SimulationDivergence) and exc.partial_trace is not None:
+            export_trace(exc.partial_trace, out_dir / f"{name}_partial.csv")
+    return suite, result, out_dir
+
+
+def _cmd_run(args) -> int:
+    cfg = scenario_from_ini(args.scenario)
+    _, result, out_dir = _run_and_export(SuiteConfig(name=cfg.name, scenarios=(cfg,)), args)
+    if not result.ok:
+        raise result.errors[cfg.name]
+    print(f"trace: {out_dir / f'{cfg.name}.csv'}")
+    print(f"metrics: {result.metrics[cfg.name]}")
+    return 0
+
+
+def _cmd_suite(args) -> int:
+    suite, result, out_dir = _run_and_export(suite_from_ini(args.manifest), args)
     rows = summary_table(suite, result)
     export_table(rows, out_dir / f"{suite.name}_summary.csv")
     for row in rows:
@@ -150,20 +149,15 @@ def _cmd_analyze(args) -> int:
                 np.log10(job["lambda_min"]), np.log10(job["lambda_max"]), job["points"])
         else:
             grid = np.linspace(job["lambda_min"], job["lambda_max"], job["points"])
-        if job["include_zero"]:
+        if job["include_zero"] and grid[0] != 0.0:
             grid = np.concatenate([[0.0], grid])
         result = analysis.root_locus(job["params"].omega, grid)
         path = export_table(result.csv_rows(), out_dir / "rootlocus.csv")
         print(f"rootlocus table: {path}")
         return 0
     job = condition_job_from_ini(args.config)
-    params = job["params"]
-    model = build_nominal_model(params, build_rrc_gains(params))
-    budget = analysis.StabilityBudget.from_envelope(
-        params, job["masses"],
-        max_contact_stiffness=job["max_contact_stiffness"],
-        gravity_comp=job["gravity_comp"],
-    )
+    model, budget = _certificate(job["params"], job["masses"], job["max_contact_stiffness"],
+                                 job["gravity_comp"])
     rows = [[
         "T_s", "T", "K_a", "satisfied", "margin", "lhs", "rhs_best", "rho_best",
         "norm_G1", "norm_G2", "norm_Gd", "reason",

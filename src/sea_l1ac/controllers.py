@@ -45,7 +45,7 @@ import numpy as np
 from numpy.linalg import solve
 
 from .analysis import hold_response, observable_realization, shaping_filter_polynomials
-from .nominal import NominalModel, RrcGains
+from .nominal import NominalModel, RrcGains, transfer_from_state_space
 from .params import PlantParams
 from .plant import gravity_gain
 
@@ -169,16 +169,6 @@ class L1Config:
             raise ValueError("K_a must be positive")
 
 
-def _trim_leading(coeffs: np.ndarray, rel: float = 1e-9) -> np.ndarray:
-    c = np.asarray(coeffs, dtype=float)
-    scale = np.max(np.abs(c)) if c.size else 0.0
-    if scale == 0.0:
-        return np.zeros(1)
-    keep = np.abs(c) > rel * scale
-    first = int(np.argmax(keep))
-    return c[first:]
-
-
 def build_filter_bank(model: NominalModel, cfg: L1Config):
     """Continuous realization of the four command-filter channels.
 
@@ -188,16 +178,18 @@ def build_filter_bank(model: NominalModel, cfg: L1Config):
     channels share the denominator of C(s) once the model's common
     denominator cancels inside H_m^-1 H_um, which requires the matched
     numerator to be a constant (full relative degree from the matched input
-    to the output). Raises ValueError when a channel would be improper or
-    the closed filter is unstable.
+    to the output). The numerators are trimmed of exact leading zeros only,
+    so a small but real leading coefficient is kept. Raises ValueError when
+    a channel would be improper or the closed filter is unstable.
     """
     num_c, den = shaping_filter_polynomials(cfg.T, cfg.K_a)
     poles = np.roots(den)
     if np.max(poles.real) >= 0.0:
         raise ValueError("closed low-pass filter C(s) is unstable for this (T, K_a)")
 
-    num_hm, den_hm = model.H_m()
-    num_m = _trim_leading(num_hm)
+    A_m, c = model.A_m, model.c
+    num_hm, den_hm = transfer_from_state_space(A_m, model.B_m, c)
+    num_m = np.trim_zeros(num_hm, "f")
     if len(num_m) != 1:
         raise ValueError(
             "matched channel does not have full relative degree; the combined "
@@ -210,7 +202,7 @@ def build_filter_bank(model: NominalModel, cfg: L1Config):
     order = len(den) - 1
     numerators = [num_c]
     for j in range(3):
-        num_umj = _trim_leading(model.H_um(j)[0])
+        num_umj = np.trim_zeros(transfer_from_state_space(A_m, model.B_um[:, j], c)[0], "f")
         if len(num_umj) - 1 > order - 1:
             raise ValueError(f"combined filter channel {j} is not strictly proper")
         numerators.append(cfg.K_a * num_umj / num_m[0])

@@ -92,6 +92,11 @@ class ScenarioConfig:
             raise ConfigError("duration must be positive")
         if not 0.0 < self.T_s < math.inf:
             raise ConfigError("T_s must be positive")
+        # the control loop runs int(round(duration / T_s)) steps
+        steps = self.duration / self.T_s
+        if not (steps < math.inf and int(round(steps)) >= 1):
+            raise ConfigError("duration must give a finite step count of at least 1, "
+                              f"not duration / T_s = {steps:g}")
         if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
                    for v in (self.substeps, self.decimate)):
             raise ConfigError("substeps and decimate must be integers >= 1")
@@ -514,13 +519,6 @@ class SuiteResult:
     def ok(self) -> bool:
         return not self.errors
 
-    def rows(self, suite: SuiteConfig):
-        for scen in suite.scenarios:
-            if scen.name in self.errors:
-                yield scen, None, str(self.errors[scen.name])
-            else:
-                yield scen, self.metrics[scen.name], "ok"
-
 
 def run_suite(suite: SuiteConfig) -> SuiteResult:
     """Run every scenario, isolating per-scenario failures."""
@@ -539,9 +537,10 @@ def summary_table(suite: SuiteConfig, result: SuiteResult) -> list[list]:
     """Comparison table rows (header first) for the suite outcome."""
     metrics = [f.name for f in fields(MetricsReport)]
     rows = [["scenario", "controller", "mass_kg", "contact_stiffness", *metrics, "status"]]
-    for scen, report, status in result.rows(suite):
-        values = [""] * len(metrics) if report is None else [
-            "" if v is None else v for v in astuple(report)]
+    for scen in suite.scenarios:
+        error = result.errors.get(scen.name)
+        values = [""] * len(metrics) if error is not None else [
+            "" if v is None else v for v in astuple(result.metrics[scen.name])]
         rows.append([scen.name, scen.controller, scen.mass, scen.contact_stiffness,
-                     *values, status])
+                     *values, "ok" if error is None else str(error)])
     return rows

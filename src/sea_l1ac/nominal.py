@@ -67,14 +67,6 @@ class NominalModel:
         """[B_m B_um], a 4x4 permutation of identity columns."""
         return np.column_stack([self.B_m, self.B_um])
 
-    def H_m(self) -> tuple[np.ndarray, np.ndarray]:
-        """(num, den) of the transfer from the matched input to y = c x."""
-        return transfer_from_state_space(self.A_m, self.B_m, self.c)
-
-    def H_um(self, column: int) -> tuple[np.ndarray, np.ndarray]:
-        """(num, den) from unmatched input ``column`` (0..2) to y = c x."""
-        return transfer_from_state_space(self.A_m, self.B_um[:, column], self.c)
-
 
 def build_nominal_model(params: PlantParams, gains: RrcGains) -> NominalModel:
     B_m = np.array([0.0, 0.0, 0.0, 1.0])

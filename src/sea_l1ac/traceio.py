@@ -48,9 +48,18 @@ def _parse_meta_line(line: str) -> dict:
     return meta
 
 
+def _write(path, what: str, text: str) -> Path:
+    """Write ``text`` to ``path`` with LF line ends; an OSError names ``what``."""
+    path = Path(path)
+    try:
+        path.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+    return path
+
+
 def export_trace(trace: RunTrace, path) -> Path:
     """Write a trace to ``path``; returns the path written."""
-    path = Path(path)
     # .tolist() yields the Python floats whose repr is the shortest round trip
     rows = np.asarray(
         np.column_stack([trace.columns[name] for name in TRACE_COLUMNS]), dtype=float
@@ -60,12 +69,7 @@ def export_trace(trace: RunTrace, path) -> Path:
         ",".join(TRACE_COLUMNS) + "\n",
         *(",".join(map(repr, row)) + "\n" for row in rows),
     ])
-    try:
-        with path.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write trace to {path}: {exc}") from exc
-    return path
+    return _write(path, "trace", text)
 
 
 def import_trace(path) -> RunTrace:
@@ -146,22 +150,9 @@ print(f"wrote {{out}}")
 
 def export_plotscript(trace_csv_name: str, path) -> Path:
     """Write a standalone matplotlib script that renders the trace panels."""
-    path = Path(path)
-    try:
-        path.write_text(_PLOT_TEMPLATE.format(csv_name=str(trace_csv_name)),
-                        encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise OSError(f"cannot write plot script to {path}: {exc}") from exc
-    return path
+    return _write(path, "plot script", _PLOT_TEMPLATE.format(csv_name=str(trace_csv_name)))
 
 
 def export_table(rows, path) -> Path:
     """Write generic comma-separated rows (header included by the caller)."""
-    path = Path(path)
-    try:
-        with path.open("w", encoding="utf-8", newline="\n") as fh:
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write table to {path}: {exc}") from exc
-    return path
+    return _write(path, "table", "".join(",".join(map(_fmt, row)) + "\n" for row in rows))

@@ -134,6 +134,8 @@ def _l1(**kwargs):
     (ScenarioConfig, {"name": 7}, ConfigError),
     (ScenarioConfig, {"controller": None}, ConfigError),
     (ScenarioConfig, {"controller": 3}, ConfigError),
+    (ScenarioConfig, {"duration": 4e-4}, ConfigError),  # rounds to 0 steps of T_s = 1 ms
+    (ScenarioConfig, {"duration": 0.01, "T_s": 0.02}, ConfigError),  # 0.5 rounds to 0
     (SuiteConfig, {"name": "../escaped", "scenarios": ()}, ConfigError),
     (EnvironmentModel, {"K_e": math.nan}, ValueError),
     (EnvironmentModel, {"K_e": math.inf}, ValueError),
@@ -827,17 +829,33 @@ def test_cli_import_leaves_scipy_signal_unloaded():
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_cli_run_exports_partial_trace_on_divergence(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["run", "suite"])
+def test_cli_run_exports_partial_trace_on_divergence(tmp_path, capsys, command):
     scen = tmp_path / "d.ini"
     scen.write_text(
         "[scenario]\nname = diverge\ncontroller = l1ac\nduration = 6.0\n"
         "\n[tuning]\nsample_period = 0.008\n"
     )
+    target = scen
+    if command == "suite":
+        target = tmp_path / "suite.ini"
+        target.write_text("[suite]\nname = s\nscenarios = d.ini\n")
     out = tmp_path / "out"
-    rc = main(["run", str(scen), "--out-dir", str(out)])
+    rc = main([command, str(target), "--out-dir", str(out)])
     assert rc == 3
     assert (out / "diverge_partial.csv").exists()
+    assert not (out / "diverge.csv").exists()
     assert '"error": "numeric"' in capsys.readouterr().err
+
+
+def test_cli_rejects_a_scenario_that_runs_no_step(tmp_path, capsys):
+    scen = tmp_path / "s.ini"
+    scen.write_text("[scenario]\nname = short\nduration = 0.0004\n")
+    out = tmp_path / "out"
+    assert main(["run", str(scen), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert '"error": "config"' in err and "must" in err
+    assert not out.exists()
 
 
 def test_cli_missing_config_reports_config_error(tmp_path, capsys):
@@ -897,6 +915,21 @@ def test_cli_rootlocus_cells_are_plain_numbers(tmp_path):
     for row in rows:
         for cell in row.split(","):
             float(cell)
+
+
+@pytest.mark.parametrize("lambda_min, points, rows", [(0.0, 3, 3), (1.0, 3, 4)])
+def test_cli_rootlocus_writes_the_zero_row_once(tmp_path, lambda_min, points, rows):
+    # include_zero prepends lambda = 0 unless the linear grid already starts there
+    cfgfile = tmp_path / "an.ini"
+    cfgfile.write_text(
+        f"[rootlocus]\nlambda_min = {lambda_min}\nlambda_max = 100.0\npoints = {points}\n"
+        "log_scale = no\ninclude_zero = yes\n")
+    out = tmp_path / "an"
+    assert main(["analyze", "rootlocus", str(cfgfile), "--out-dir", str(out)]) == 0
+    _, *body = (out / "rootlocus.csv").read_text().splitlines()
+    lambdas = [float(row.split(",")[0]) for row in body]
+    assert len(lambdas) == rows and lambdas[0] == 0.0 and lambdas.count(0.0) == 1
+    assert lambdas == sorted(lambdas)
 
 
 def test_cli_rejects_a_scenario_name_that_leaves_the_output_directory(tmp_path, capsys):
