@@ -165,16 +165,26 @@ def root_locus(omega: float, lambda_grid) -> RootLocusResult:
 # L1 (peak gain) norms from impulse-response quadrature
 # ---------------------------------------------------------------------------
 
+_BLOCK_MADDS = 2**16  # multiply-adds per march product; see l1_norm
+
+
 def l1_norm(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
     """L1 norm of the strictly proper system (A, B, C): the integral of the
     absolute impulse response C e^{A t} B, max row sum for MIMO.
 
-    The impulse response is marched over 20 slowest time constants with the
-    exact one-step propagator e^{A dt}, dt a hundredth of the fastest time
-    constant, a block of steps at a time through its stacked powers, and
-    integrated with the trapezoidal rule. ``B`` and ``C`` are 2-D, one
-    column per input and one row per output. Raises UnstableSystemError for
-    systems that are not strictly stable.
+    The impulse response is sampled over 20 slowest time constants with the
+    exact one-step propagator E = e^{A dt}, dt a hundredth of the fastest
+    time constant, and integrated with the trapezoidal rule. ``B`` and ``C``
+    are 2-D, one column per input and one row per output. Raises
+    UnstableSystemError for systems that are not strictly stable.
+
+    Blocks of K steps march as one product R X, with the output rows
+    R = [C E; C E^2; ...; C E^K] built by doubling and X <- E^K X carrying
+    the block start. K is the largest power of two that keeps the product's
+    K p n m multiply-adds within 2^16, or the first to cover every step.
+    OpenBLAS runs such a product on one thread; from about 2^18 it wakes its
+    thread pool, which contends with the pool scipy.linalg leaves spinning,
+    and the march turns several times slower on 2 CPUs.
     """
     eig = np.linalg.eigvals(A)
     alpha = float(np.max(eig.real))
@@ -184,19 +194,17 @@ def l1_norm(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
     dt = -1.0 / float(np.min(eig.real)) / 100.0
     steps = int(math.ceil(20.0 * tau_slow / dt))
     Ed = matrix_exponential(A, dt)
-    # stacked powers [E, E^2, ..., E^K], about 1 MB whatever the state size
-    powers = [Ed]
-    for _ in range(min(steps, max(1, 2**20 // Ed.nbytes)) - 1):
-        powers.append(Ed @ powers[-1])
-    powers = np.stack(powers)
+    p, (n, m) = C.shape[0], B.shape
+    R, P = C @ Ed, Ed
+    while len(R) < steps * p and 2 * len(R) * n * m <= _BLOCK_MADDS:
+        R, P = np.vstack([R, R @ P]), P @ P
     X = B
-    acc = np.zeros((C.shape[0], B.shape[1]))
+    acc = np.zeros((p, m))
     g_prev = np.abs(C @ X)
-    for start in range(0, steps, len(powers)):
-        Xs = powers[: steps - start] @ X
-        g = np.abs(C @ Xs)
+    for start in range(0, steps * p, len(R)):
+        g = np.abs(R[: steps * p - start] @ X).reshape(-1, p, m)
         acc += (0.5 * dt) * (g_prev + 2.0 * g[:-1].sum(axis=0) + g[-1])
-        X, g_prev = Xs[-1], g[-1]
+        X, g_prev = P @ X, g[-1]
     return float(np.max(np.sum(acc, axis=1)))
 
 

@@ -339,6 +339,11 @@ def compute_metrics(trace: RunTrace, cfg: ScenarioConfig | None = None) -> Metri
         start = _meta_value(meta, "q_d_start")
         k_e = _meta_value(meta, "contact_stiffness", 0.0)
         q_0 = _meta_value(meta, "contact_position", 0.0)
+    for name in ("t_s", "q_rad", "current_permil", "dq_rad_per_s"):
+        bad = np.flatnonzero(~np.isfinite(trace[name]))
+        if bad.size:
+            raise ValueError(f"trace column {name} sample {bad[0]} = "
+                             f"{float(trace[name][bad[0]])!r} is not a finite number")
 
     t = trace["t_s"]
     q = trace["q_rad"]

@@ -226,20 +226,52 @@ def _sequential_l1_norm(A, B, C):
     return steps, float(np.max(np.sum(acc, axis=1)))
 
 
-@pytest.mark.parametrize("piece", ["lag", "G1", "G2"])
-def test_l1_norm_block_march_matches_sequential_march(model, piece):
+def _piece(model, piece, tuning=(0.01, 10.0)):
+    """The first-order lag, or one reference-loop piece at a (T, K_a) tuning."""
     if piece == "lag":
-        system = np.array([[-3.0]]), np.array([[1.0]]), np.array([[1.0]])
-    else:
-        g1, g2, _ = reference_loop_pieces(model, L1Config())
-        system = g1 if piece == "G1" else g2
+        return np.array([[-3.0]]), np.array([[1.0]]), np.array([[1.0]])
+    g1, g2, gd = reference_loop_pieces(model, L1Config(T=tuning[0], K_a=tuning[1]))
+    return {"G1": g1, "G2": g2, "Gd": gd}[piece]
+
+
+def _block_steps(system, steps):
+    """Steps per block of l1_norm's march: doubling from one while the march
+    product stays within the block budget and the steps are not covered."""
+    A, B, C = system
+    k = 1
+    while k < steps and 2 * k * C.shape[0] * A.shape[0] * B.shape[1] <= analysis._BLOCK_MADDS:
+        k *= 2
+    return k
+
+
+@pytest.mark.parametrize("piece, tuning", [
+    ("lag", None), ("G1", (0.01, 10.0)), ("G2", (0.01, 10.0)), ("Gd", (0.01, 10.0)),
+    ("G1", (0.005, 10.0)),
+], ids=["lag", "G1", "G2", "Gd", "G1-T5ms"])
+def test_l1_norm_block_march_matches_sequential_march(model, piece, tuning):
+    system = _piece(model, piece, tuning)
     steps, value = _sequential_l1_norm(*system)
     # the cases cover one partial block and several blocks plus a remainder
-    block = 2**20 // system[0].nbytes
+    block = _block_steps(system, steps)
     assert steps < block if piece == "lag" else steps > block and steps % block
+    if tuning == (0.005, 10.0):
+        assert steps == 39659
     assert l1_norm(*system) == pytest.approx(value, rel=1e-12)
     if piece == "G2":
         assert system[1].shape[1] > 1  # the max row sum over several inputs
+
+
+@pytest.mark.parametrize("piece", ["lag", "G1", "G2", "Gd"])
+def test_l1_norm_does_not_depend_on_the_block_length(model, piece):
+    system = _piece(model, piece)
+    steps = _sequential_l1_norm(*system)[0]
+    default = l1_norm(*system)
+    # one step per block, then an odd budget whose blocks leave a remainder
+    for budget in (1, 999):
+        with mock.patch.object(analysis, "_BLOCK_MADDS", budget):
+            block = _block_steps(system, steps)
+            assert block == 1 if budget == 1 else 1 < block < steps and steps % block
+            assert l1_norm(*system) == pytest.approx(default, rel=1e-12)
 
 
 def test_reference_loop_pieces_are_strictly_stable(model):

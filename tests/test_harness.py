@@ -380,6 +380,27 @@ def test_metrics_reject_metadata_that_is_not_a_finite_number(tmp_path, capsys, k
     assert '"error": "config"' in err and str(path) in err and key in err
 
 
+@pytest.mark.parametrize("column", ["t_s", "q_rad", "current_permil", "dq_rad_per_s"])
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_metrics_reject_a_non_finite_sample(tmp_path, capsys, column, raw):
+    # import_trace keeps nan and inf, which round-trip; metrics must not
+    # read them as numbers (max(0.0, nan) is 0.0, and inf prints Infinity)
+    meta = "# q_d_amplitude=1.0 q_d_start=0.0 omega=30.0 contact_stiffness=100.0 " \
+           "contact_position=0.5\n"
+    rows = [[repr(0.001 * i)] + ["0.75"] * (len(TRACE_COLUMNS) - 1) for i in range(4)]
+    rows[2][TRACE_COLUMNS.index(column)] = raw
+    path = tmp_path / "bad_sample.csv"
+    path.write_text(meta + ",".join(TRACE_COLUMNS) + "\n"
+                    + "".join(",".join(r) + "\n" for r in rows))
+    with pytest.raises(ValueError, match=f"{column} sample 2 = "):
+        compute_metrics(import_trace(path))
+    assert main(["metrics", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert '"error": "config"' in captured.err and str(path) in captured.err
+    assert column in captured.err
+
+
 def _rise_delay_oracle(t, q, amplitude, start, omega, max_shift=0.5, step=1e-3):
     """The loop over every shift that _rise_delay must agree with exactly."""
     shifts = np.arange(0.0, max_shift + step / 2, step)
