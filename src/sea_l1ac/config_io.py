@@ -127,6 +127,8 @@ def suite_from_ini(path) -> SuiteConfig:
     raw = ini.get("suite", "scenarios", str, "")
     ini.check_unknown()
     entries = [tok.strip() for tok in raw.replace(",", "\n").splitlines() if tok.strip()]
+    if not entries:
+        raise ConfigError(f"{path}: [suite] scenarios lists no scenario file")
     scenarios = tuple(scenario_from_ini(path.parent / entry) for entry in entries)
     return SuiteConfig(name=name, scenarios=scenarios)
 
@@ -176,4 +178,6 @@ def condition_job_from_ini(path) -> dict:
         "params": _plant_overrides(ini) or benchmark_params(),
     }
     ini.check_unknown()
+    if not job["time_constants"]:
+        raise ConfigError(f"{path}: [condition] filter_time_constants lists no time constant")
     return job

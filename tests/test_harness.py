@@ -840,12 +840,59 @@ def test_cli_metrics_on_suite_traces_match_the_summary(tmp_path, capsys, manifes
             assert row[key] == ("" if value is None else repr(value)), (row["scenario"], key)
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_cli_import_loads_no_scipy():
     src = str(Path(sea_l1ac.__file__).resolve().parents[1])
-    code = "import sys, sea_l1ac.cli; print('scipy.signal' in sys.modules)"
+    code = f"import sys, sea_l1ac, sea_l1ac.cli; print({_SCIPY_MODULES})"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, cwd=src)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+def _scipy_probe_argv(tmp_path, case):
+    """Command-line arguments for one case of the scipy-loading test."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    out = ["--out-dir", str(tmp_path / "out")]
+    if case == "metrics":
+        trace = export_trace(run_scenario(_quick(controller="rrc", duration=0.2)),
+                             tmp_path / "rrc.csv")
+        return ["metrics", str(trace)]
+    if case == "run-l1ac":
+        scen = tmp_path / "s.ini"
+        scen.write_text(SCENARIO_INI.replace("duration = 0.3", "duration = 0.05"))
+        return ["run", str(scen), *out]
+    return {
+        "rootlocus": ["analyze", "rootlocus", str(configs / "analysis.ini"), *out],
+        "condition": ["analyze", "condition", str(configs / "analysis.ini"), *out],
+        "run-rrc": ["run", str(configs / "nominal_fidelity_rrc.ini"), *out],
+        "run-rrc-check": ["run", str(configs / "collision_rrc_ke100.ini"), "--check-condition",
+                          *out],
+    }[case]
+
+
+@pytest.mark.parametrize("case, loads_scipy", [
+    ("metrics", False),
+    ("rootlocus", False),
+    ("run-rrc", False),
+    ("run-rrc-check", False),
+    ("run-l1ac", True),
+    ("condition", True),
+])
+def test_cli_loads_scipy_only_for_a_matrix_exponential(tmp_path, case, loads_scipy):
+    # a fresh interpreter per command, so nothing this test process loaded counts
+    src = str(Path(sea_l1ac.__file__).resolve().parents[1])
+    code = ("import sys\nfrom sea_l1ac.cli import main\nrc = main(sys.argv[1:])\n"
+            f"print({_SCIPY_MODULES})\nsys.exit(rc)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *_scipy_probe_argv(tmp_path, case)],
+                          capture_output=True, text=True, cwd=src)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1]
+    if loads_scipy:
+        assert "'scipy.linalg'" in loaded
+    else:
+        assert loaded == "[]"
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -909,6 +956,38 @@ def test_cli_suite_reports_a_failed_scenario_as_run_does(tmp_path, capsys, tunin
     manifest.write_text("[suite]\nname = s\nscenarios =\n    one.ini\n    two.ini\n")
     assert main(["suite", str(manifest), "--out-dir", str(tmp_path / "out")]) == code
     assert f'"error": "{category}"' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["", "scenarios =\n", "scenarios = ,\n", "scenarios = ,\n  ,\n"],
+                         ids=["absent", "blank", "comma", "commas"])
+def test_cli_suite_rejects_a_manifest_that_lists_no_scenario(tmp_path, capsys, line):
+    manifest = tmp_path / "empty.ini"
+    manifest.write_text(f"[suite]\nname = empty\n{line}")
+    out = tmp_path / "res"
+    assert main(["suite", str(manifest), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert '"error": "config"' in err and "[suite] scenarios" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [",", " , ,"])
+def test_cli_condition_rejects_an_empty_time_constant_list(tmp_path, capsys, value):
+    cfgfile = tmp_path / "an.ini"
+    cfgfile.write_text(f"[condition]\nfilter_time_constants = {value}\n")
+    out = tmp_path / "an"
+    assert main(["analyze", "condition", str(cfgfile), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert '"error": "config"' in err and "[condition] filter_time_constants" in err
+    assert not (out / "condition.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["", "filter_time_constants =\n"], ids=["absent", "blank"])
+def test_condition_time_constants_keep_the_default_when_absent_or_blank(tmp_path, line):
+    from sea_l1ac.config_io import condition_job_from_ini
+
+    cfgfile = tmp_path / "an.ini"
+    cfgfile.write_text(f"[condition]\n{line}")
+    assert condition_job_from_ini(cfgfile)["time_constants"] == [0.005, 0.01, 0.02]
 
 
 def test_cli_analyze(tmp_path, capsys):
