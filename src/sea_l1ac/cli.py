@@ -127,10 +127,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_suite(args) -> int:
     suite, result, out_dir = _run_and_export(suite_from_ini(args.manifest), args)
-    rows = summary_table(suite, result)
-    export_table(rows, out_dir / f"{suite.name}_summary.csv")
-    for row in rows:
-        print(",".join(str(v) for v in row))
+    path = export_table(summary_table(suite, result), out_dir / f"{suite.name}_summary.csv")
+    sys.stdout.write(path.read_text(encoding="utf-8"))
     if not result.ok:
         failed = ", ".join(sorted(result.errors))
         # run_suite isolates any exception; one without a category counts as numeric
@@ -140,8 +138,6 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.what == "rootlocus":
         job = rootlocus_job_from_ini(args.config)
         if job["log_scale"]:
@@ -151,29 +147,30 @@ def _cmd_analyze(args) -> int:
             grid = np.linspace(job["lambda_min"], job["lambda_max"], job["points"])
         if job["include_zero"] and grid[0] != 0.0:
             grid = np.concatenate([[0.0], grid])
-        result = analysis.root_locus(job["params"].omega, grid)
-        path = export_table(result.csv_rows(), out_dir / "rootlocus.csv")
-        print(f"rootlocus table: {path}")
-        return 0
-    job = condition_job_from_ini(args.config)
-    model, budget = _certificate(job["params"], job["masses"], job["max_contact_stiffness"],
-                                 job["gravity_comp"])
-    rows = [[
-        "T_s", "T", "K_a", "satisfied", "margin", "lhs", "rhs_best", "rho_best",
-        "norm_G1", "norm_G2", "norm_Gd", "reason",
-    ]]
-    for T in job["time_constants"]:
-        cfg = L1Config(T_s=job["sample_period"], T=T, K_a=job["filter_gain"])
-        rep = analysis.check_stability_condition(model, cfg, budget, qd_peak=job["qd_peak"])
-        rows.append([
-            cfg.T_s, T, cfg.K_a, int(rep.satisfied), rep.margin, rep.lhs,
-            rep.rhs_best, rep.rho_best, rep.norm_g1, rep.norm_g2, rep.norm_gd,
-            rep.reason,
-        ])
-    path = export_table(rows, out_dir / "condition.csv")
-    for row in rows:
-        print(",".join(str(v) for v in row))
-    print(f"condition table: {path}")
+        rows = analysis.root_locus(job["params"].omega, grid).csv_rows()
+    else:
+        job = condition_job_from_ini(args.config)
+        model, budget = _certificate(job["params"], job["masses"],
+                                     job["max_contact_stiffness"], job["gravity_comp"])
+        rows = [[
+            "T_s", "T", "K_a", "satisfied", "margin", "lhs", "rhs_best", "rho_best",
+            "norm_G1", "norm_G2", "norm_Gd", "reason",
+        ]]
+        for T in job["time_constants"]:
+            cfg = L1Config(T_s=job["sample_period"], T=T, K_a=job["filter_gain"])
+            rep = analysis.check_stability_condition(model, cfg, budget, qd_peak=job["qd_peak"])
+            rows.append([
+                cfg.T_s, T, cfg.K_a, int(rep.satisfied), rep.margin, rep.lhs,
+                rep.rhs_best, rep.rho_best, rep.norm_g1, rep.norm_g2, rep.norm_gd,
+                rep.reason,
+            ])
+    # the directory appears only once there is a table to put in it
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = export_table(rows, out_dir / f"{args.what}.csv")
+    if args.what == "condition":
+        sys.stdout.write(path.read_text(encoding="utf-8"))
+    print(f"{args.what} table: {path}")
     return 0
 
 

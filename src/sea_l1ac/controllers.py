@@ -23,7 +23,7 @@ which form ran. ``ReferenceSystem`` is built from an ``L1Controller`` and
 reuses its hold pair and filter matrices: one sample is the linear
 recurrence s+ = M s + N u on its state s = [x_r; z_f]. ``step`` advances it
 one sample and is its definition; ``run`` marches a whole input sequence at
-once in blocks and agrees with ``step`` in a loop to rounding.
+once by repeated squaring and agrees with ``step`` in a loop to rounding.
 
 Both controllers' ``step(x, q_d, tau_dob)`` return the step record, a plain
 tuple ``(tau_m, u1, u2, xtilde_inf, sigma22_hat, u_gc, g_ff1)``: torque,
@@ -463,35 +463,18 @@ class ReferenceSystem:
         Row k of the result is what the (k+1)-th ``step`` returns, to
         rounding. The instance's own state is left alone.
 
-        The recurrence s+ = M s + N u is marched in blocks of b = isqrt(n)
-        samples: each block's response from a zero start (one product per
-        in-block index over all blocks at once), then the block starts in
-        one short loop, then the start's free response through the stacked
-        powers M, ..., M^b, added to the zero-start part.
+        s+ = M s + N u is an affine prefix scan, marched in the doubling
+        form of Hillis and Steele: s starts as the drives N u, the first
+        plus M [x0; 0]; the pass with stride k = 1, 2, 4, ... adds M^k times
+        the row k earlier, after which row i sums the last 2k drives through
+        their powers of M, and M^k squares for the next pass. That is
+        ceil(log2 n) passes of one product over at most n rows each, so
+        O(n log n) work; README's "Reference-system error" gives its cost.
         """
-        u = np.asarray(inputs, dtype=float).reshape(-1, 9)
-        n, ns = len(u), self._M.shape[0]
-        if n == 0:
-            return np.empty((0, 4))
-        b = math.isqrt(n)
-        blocks = -(-n // b)
-        M = self._M
-        drive = np.zeros((blocks * b, ns))
-        drive[:n] = u @ self._N.T
-        drive = drive.reshape(blocks, b, ns)
-        forced = np.empty_like(drive)
-        forced[:, 0] = drive[:, 0]
-        for m in range(1, b):
-            forced[:, m] = forced[:, m - 1] @ M.T + drive[:, m]
-        powers = [M]
-        for _ in range(b - 1):
-            powers.append(M @ powers[-1])
-        starts = np.empty((blocks, ns))
-        starts[0, :4] = x0
-        starts[0, 4:] = 0.0
-        for j in range(1, blocks):
-            starts[j] = powers[-1] @ starts[j - 1] + forced[j - 1, -1]
-        # free[m, j] = M^(m+1) starts[j], x_r rows only
-        free = starts @ np.stack(powers)[:, :4].transpose(0, 2, 1)
-        x_r = free.transpose(1, 0, 2) + forced[:, :, :4]
-        return x_r.reshape(-1, 4)[:n]
+        s = np.asarray(inputs, dtype=float).reshape(-1, 9) @ self._N.T
+        s[:1] += self._M[:, :4] @ x0  # s[:1], not s[0]: there may be no samples
+        P, k = self._M, 1
+        while k < len(s):
+            s[k:] += s[:-k] @ P.T
+            P, k = P @ P, 2 * k
+        return s[:, :4]

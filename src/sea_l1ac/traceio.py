@@ -10,6 +10,8 @@ byte-identical for every text value.
 
 from __future__ import annotations
 
+import csv
+import io
 import string
 from pathlib import Path
 from urllib.parse import quote, unquote
@@ -154,5 +156,8 @@ def export_plotscript(trace_csv_name: str, path) -> Path:
 
 
 def export_table(rows, path) -> Path:
-    """Write generic comma-separated rows (header included by the caller)."""
-    return _write(path, "table", "".join(",".join(map(_fmt, row)) + "\n" for row in rows))
+    """Write rows as CSV (header included by the caller); a cell holding a
+    comma, a quote or a line break is quoted, so every row keeps its cells."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(map(_fmt, row) for row in rows)
+    return _write(path, "table", text.getvalue())

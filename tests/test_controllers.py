@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sea_l1ac import (
@@ -447,6 +447,13 @@ def test_fused_reference_step_matches_unfused_formula(params, gains, model, x0, 
     seed=st.integers(0, 2**32 - 1),
     walk=st.booleans(),
 )
+# one and two samples, a whole top doubling level, one sample past it, and a
+# long run with a partial top level
+@example(T_s=1e-3, K_a=10.0, T_frac=0.5, n=1, seed=1, walk=False)
+@example(T_s=1e-3, K_a=10.0, T_frac=0.5, n=2, seed=2, walk=False)
+@example(T_s=1e-3, K_a=10.0, T_frac=0.5, n=4096, seed=3, walk=True)
+@example(T_s=5e-4, K_a=20.0, T_frac=1.0, n=4097, seed=4, walk=False)
+@example(T_s=5e-4, K_a=1.0, T_frac=0.0, n=20000, seed=5, walk=True)
 def test_reference_run_matches_a_loop_of_step(params, gains, model, T_s, K_a, T_frac, n,
                                               seed, walk):
     # C(s) is stable iff K_a T < 8/9 (Routh on s (T s + 1)^3 + K_a); T spans
@@ -463,7 +470,7 @@ def test_reference_run_matches_a_loop_of_step(params, gains, model, T_s, K_a, T_
     ref.reset(x0)
     got = ref.run(x0, inputs)  # between reset and the loop: it must not move the state
     want = np.array([ref.step(u[0], u[1:4], u[4], u[5], u[6:9]) for u in inputs])
-    # the bound: 1e-12 of the peak |x_r|; the block march and the per-sample
+    # the bound: 1e-12 of the peak |x_r|; the doubling scan and the per-sample
     # product round differently, by about 1e-14 of the peak
     assert got.shape == (n, 4)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -1,3 +1,4 @@
+import csv
 import math
 import subprocess
 import sys
@@ -708,7 +709,7 @@ def test_nonfinite_config_value_is_rejected(tmp_path, capsys, loader, section, k
     argv = ["run", str(ini)] if loader == "run" else ["analyze", loader, str(ini)]
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
     assert '"error": "config"' in capsys.readouterr().err
-    assert not (tmp_path / "out" / "s.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_shipped_load_variation_suite_reproduces_the_comparison():
@@ -958,6 +959,21 @@ def test_cli_suite_reports_a_failed_scenario_as_run_does(tmp_path, capsys, tunin
     assert f'"error": "{category}"' in capsys.readouterr().err
 
 
+def test_cli_suite_summary_keeps_a_cell_that_holds_a_comma(tmp_path, capsys):
+    # the failed scenario's name and its status both hold commas
+    (tmp_path / "one.ini").write_text(
+        "[scenario]\nname = a,b\ncontroller = l1ac\n\n[tuning]\nfilter_gain = 1000.0\n")
+    manifest = tmp_path / "suite.ini"
+    manifest.write_text("[suite]\nname = s\nscenarios = one.ini\n")
+    assert main(["suite", str(manifest), "--out-dir", str(tmp_path / "out")]) == 2
+    text = (tmp_path / "out" / "s_summary.csv").read_text()
+    assert capsys.readouterr().out == text  # stdout shows the table as written
+    header, *rows = csv.reader(text.splitlines())
+    assert [len(row) for row in rows] == [len(header)]
+    assert rows[0][0] == "a,b"
+    assert rows[0][-1] == "closed low-pass filter C(s) is unstable for this (T, K_a)"
+
+
 @pytest.mark.parametrize("line", ["", "scenarios =\n", "scenarios = ,\n", "scenarios = ,\n  ,\n"],
                          ids=["absent", "blank", "comma", "commas"])
 def test_cli_suite_rejects_a_manifest_that_lists_no_scenario(tmp_path, capsys, line):
@@ -978,7 +994,7 @@ def test_cli_condition_rejects_an_empty_time_constant_list(tmp_path, capsys, val
     assert main(["analyze", "condition", str(cfgfile), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert '"error": "config"' in err and "[condition] filter_time_constants" in err
-    assert not (out / "condition.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line", ["", "filter_time_constants =\n"], ids=["absent", "blank"])
@@ -1046,6 +1062,7 @@ def test_cli_condition_rejects_a_negative_test_mass(tmp_path, capsys):
     cfgfile.write_text("[condition]\nfilter_time_constants = 0.01\nmasses = -3.0, 1.5\n")
     assert main(["analyze", "condition", str(cfgfile), "--out-dir", str(tmp_path / "an")]) == 2
     assert "test mass -3.0 must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "an").exists()
 
 
 def test_cli_condition_warning_for_bad_filter(tmp_path, capsys):
