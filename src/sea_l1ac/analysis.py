@@ -29,27 +29,123 @@ class UnstableSystemError(ValueError):
     """An operation that requires a strictly stable system got an unstable one."""
 
 
-def matrix_exponential(A: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """e^{A t} by scaling-and-squaring with a Pade approximant.
+# Al-Mohy & Higham, "A new scaling and squaring algorithm for the matrix
+# exponential", SIAM J. Matrix Anal. Appl. 31(3), 2009. Per Pade degree m:
+# theta_m, the largest 1-norm at which the [m/m] approximant is accurate to
+# unit roundoff (their Table 3.1); 1/|c_{2m+1}|, the reciprocal of the leading
+# coefficient of its backward-error series (their eq. 5.1); and the
+# coefficients b_0..b_m of the approximant.
+_PADE = {
+    3: (1.495585217958292e-2, 100800.0, (120.0, 60.0, 12.0, 1.0)),
+    5: (2.539398330063230e-1, 10059033600.0,
+        (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    7: (9.504178996162932e-1, 4487938430976000.0,
+        (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
+    9: (2.097847961257068, 5914384781877411840000.0,
+        (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+         2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    13: (4.25, 113250775606021113483283660800000000.0,
+         (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+          1187353796428800.0, 129060195264000.0, 10559470521600.0,
+          670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+          16380.0, 182.0, 1.0)),
+}
 
-    scipy is imported here, at the first exponential, not with the module:
-    loading it costs about 0.3 s, and commands that take no exponential
-    (metrics, the root locus, rrc runs) then never pay it. Python's import
-    lock makes a first call from concurrent workers safe.
+
+def _onenorm(X: np.ndarray) -> float:
+    return float(np.abs(X).sum(axis=0).max())
+
+
+def _extra_squarings(A: np.ndarray, m: int) -> int:
+    """Squarings to add so the degree-m approximant of A stays within unit
+    roundoff in relative backward error (Al-Mohy & Higham's ell_m), from the
+    exact 1-norm of abs(A)^(2m+1)."""
+    power_norm = _onenorm(np.linalg.matrix_power(np.abs(A), 2 * m + 1))
+    if not power_norm:
+        return 0
+    alpha = power_norm / (_onenorm(A) * _PADE[m][1])
+    return max(math.ceil(math.log2(alpha / 2.0**-53) / (2 * m)), 0)
+
+
+def _pade_solve(A: np.ndarray, evens: list, m: int) -> np.ndarray:
+    """The [m/m] Pade approximant of e^A from the even powers [I, A^2, ...]."""
+    b = _PADE[m][2]
+    U = A @ sum(b[k + 1] * evens[k // 2] for k in range(0, m, 2))
+    V = sum(b[k] * evens[k // 2] for k in range(0, m + 1, 2))
+    return np.linalg.solve(V - U, V + U)
+
+
+def matrix_exponential(A: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """e^{A t} by scaling and squaring with a [m/m] Pade approximant, the
+    algorithm of Al-Mohy & Higham (2009) that ``scipy.linalg.expm`` runs.
+
+    The degree m in {3, 5, 7, 9, 13} and the number of squarings s come from
+    exact 1-norms of powers of A t, ||(A t)^k||^(1/k), which bound the
+    approximant's backward error far more tightly than ||A t|| does on the
+    canonical-form realizations the design condition exponentiates: at
+    l1_norm's step their 1-norms reach about 4e3 while no eigenvalue exceeds
+    0.01 in modulus. The cost is a few products of n x n matrices, cheap for
+    the n <= 16 here. Numpy only: the L1 norms, and so ``analyze condition``,
+    never load scipy. Raises ValueError for non-finite entries.
+    """
+    A = np.asarray(A, dtype=float) * t
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix entries must be finite")
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    evens = [np.eye(len(A)), A2, A4, A6]
+    d4, d6 = _onenorm(A4) ** 0.25, _onenorm(A6) ** (1 / 6)
+    eta = max(d4, d6)
+    for m in (3, 5):
+        if eta < _PADE[m][0] and _extra_squarings(A, m) == 0:
+            return _pade_solve(A, evens, m)
+    evens.append(A4 @ A4)
+    d8 = _onenorm(evens[4]) ** 0.125
+    eta = max(d6, d8)
+    for m in (7, 9):
+        if eta < _PADE[m][0] and _extra_squarings(A, m) == 0:
+            return _pade_solve(A, evens, m)
+    d10 = _onenorm(A4 @ A6) ** 0.1
+    eta = min(eta, max(d8, d10))
+    s = max(math.ceil(math.log2(eta / _PADE[13][0])), 0) if eta > 0.0 else 0
+    s += _extra_squarings(A * 2.0**-s, 13)
+    # degree 13 splits as U = B [B^6 (b13 B^6 + b11 B^4 + b9 B^2) + ...],
+    # so it costs three products beyond the powers
+    b = _PADE[13][2]
+    B, B2, B4, B6 = (X * 2.0 ** (-k * s) for X, k in ((A, 1), (A2, 2), (A4, 4), (A6, 6)))
+    ident = evens[0]
+    U = B @ (B6 @ (b[13] * B6 + b[11] * B4 + b[9] * B2)
+             + b[7] * B6 + b[5] * B4 + b[3] * B2 + b[1] * ident)
+    V = (B6 @ (b[12] * B6 + b[10] * B4 + b[8] * B2)
+         + b[6] * B6 + b[4] * B4 + b[2] * B2 + b[0] * ident)
+    X = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        X = X @ X
+    return X
+
+
+def hold_response(A: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact zero-order-hold pair over a period t: E = e^{A t} and
+    Phi = A^-1 (E - I), the integral of e^{A s} over [0, t].
+
+    E comes from ``scipy.linalg.expm``, the package's one scipy call, and not
+    from ``matrix_exponential``: on A_m the two agree to within 3e-16 of the
+    largest entry but not bit for bit, and the benchmark pins the suite CSVs,
+    which every controller's hold pair feeds, byte for byte to scipy's
+    rounding. The scipy-free runtime item of ROADMAP.md replaces this call
+    with a closed form once the benchmark gates those files by value. scipy
+    is imported here, at the first hold pair, not with the module: loading it
+    costs about 0.3 s, and commands that build no adaptive controller never
+    pay it. Python's import lock makes a first call from concurrent workers
+    safe. Raises ValueError for non-finite entries.
     """
     import scipy.linalg
 
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
-    return scipy.linalg.expm(A * t)
-
-
-def hold_response(A: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact zero-order-hold pair over a period t: E = e^{A t} and
-    Phi = A^-1 (E - I), the integral of e^{A s} over [0, t]."""
-    A = np.asarray(A, dtype=float)
-    E = matrix_exponential(A, t)
+    E = scipy.linalg.expm(A * t)
     return E, np.linalg.solve(A, E - np.eye(A.shape[0]))
 
 
@@ -173,6 +269,10 @@ def root_locus(omega: float, lambda_grid) -> RootLocusResult:
 # ---------------------------------------------------------------------------
 
 _BLOCK_MADDS = 2**16  # multiply-adds per march product; see l1_norm
+# Samples l1_norm marches at most, 0.5-1.2 s per norm of the reference loop
+# on 2 CPUs. The shipped designs need at most 4.0e4; a stiffness ratio (slowest
+# over fastest time constant) past 5000 needs more.
+_MAX_STEPS = 10**7
 
 
 def l1_norm(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
@@ -183,7 +283,10 @@ def l1_norm(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
     exact one-step propagator E = e^{A dt}, dt a hundredth of the fastest
     time constant, and integrated with the trapezoidal rule. ``B`` and ``C``
     are 2-D, one column per input and one row per output. Raises
-    UnstableSystemError for systems that are not strictly stable.
+    UnstableSystemError for systems that are not strictly stable, and
+    ValueError when the march would take more than ``_MAX_STEPS`` samples,
+    2000 times the ratio of the slowest to the fastest time constant (a
+    filter gain of 1e-3 at T = 10 ms needs 2e8 samples, about 45 s).
 
     Blocks of K steps march as one product R X, with the output rows
     R = [C E; C E^2; ...; C E^K] built by doubling and X <- E^K X carrying
@@ -191,15 +294,23 @@ def l1_norm(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
     K p n m multiply-adds within 2^16, or the first to cover every step.
     OpenBLAS runs such a product on one thread; from about 2^18 it wakes its
     thread pool, which contends with the pool scipy.linalg leaves spinning,
-    and the march turns several times slower on 2 CPUs.
+    and the march turns several times slower on 2 CPUs. The exponential here
+    is numpy's, so only a process that has also discretized an adaptive
+    controller (``hold_response``) has that second pool.
     """
     eig = np.linalg.eigvals(A)
     alpha = float(np.max(eig.real))
     if alpha >= 0.0:
         raise UnstableSystemError("impulse response does not decay; L1 norm undefined")
     tau_slow = -1.0 / alpha
-    dt = -1.0 / float(np.min(eig.real)) / 100.0
+    tau_fast = -1.0 / float(np.min(eig.real))
+    dt = tau_fast / 100.0
     steps = int(math.ceil(20.0 * tau_slow / dt))
+    if steps > _MAX_STEPS:
+        raise ValueError(
+            f"L1 norm too stiff to integrate: slowest time constant {tau_slow:.3g} s, "
+            f"fastest {tau_fast:.3g} s, {steps:.3g} samples (at most {_MAX_STEPS:.0e})"
+        )
     Ed = matrix_exponential(A, dt)
     p, (n, m) = C.shape[0], B.shape
     R, P = C @ Ed, Ed

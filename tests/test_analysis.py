@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,8 +22,11 @@ from sea_l1ac import (
     polynomial_roots,
     root_locus,
 )
-from sea_l1ac import analysis
+from sea_l1ac import analysis, build_nominal_model, build_rrc_gains
 from sea_l1ac.analysis import hold_response, reference_loop_pieces, shaping_filter_polynomials
+from sea_l1ac.config_io import condition_job_from_ini
+
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +68,64 @@ def test_expm_semigroup_property(model):
 def test_expm_rejects_nonfinite():
     with pytest.raises(ValueError):
         matrix_exponential(np.array([[math.nan]]), 1.0)
+
+
+def _scipy_expm(A, t=1.0):
+    """The oracle: scipy's exponential, which runs the same algorithm."""
+    import scipy.linalg
+
+    return scipy.linalg.expm(np.asarray(A, dtype=float) * t)
+
+
+def _design_pieces():
+    """The nine reference-loop pieces that configs/analysis.ini certifies."""
+    job = condition_job_from_ini(_CONFIGS / "analysis.ini")
+    model = build_nominal_model(job["params"], build_rrc_gains(job["params"]))
+    return [piece for T in job["time_constants"]
+            for piece in reference_loop_pieces(model, L1Config(T=T, K_a=job["filter_gain"]))]
+
+
+def test_expm_matches_scipy_on_the_design_realizations():
+    # order-8 and order-16 canonical forms at l1_norm's step, 1-norms up to
+    # about 4e3: choosing the degree and scaling from ||A||_1 alone (Higham
+    # 2005) over-scales them, and was off by 1.3e-7 of the largest entry here
+    pieces = _design_pieces()
+    assert len(pieces) == 9
+    for A, _, _ in pieces:
+        dt = -1.0 / float(np.min(np.linalg.eigvals(A).real)) / 100.0
+        ref = _scipy_expm(A, dt)
+        assert np.max(np.abs(matrix_exponential(A, dt) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("T_s", [1e-4, 1e-3, 4e-3, 1e-2])
+def test_expm_matches_scipy_on_the_hold_matrix(model, T_s):
+    ref = _scipy_expm(model.A_m, T_s)
+    got = matrix_exponential(model.A_m, T_s)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 16), st.floats(-3.0, 4.0), st.integers(0, 2**32 - 1))
+def test_expm_matches_scipy_on_random_matrices(n, log_norm, seed):
+    # a Gaussian matrix of 1-norm 10^log_norm, shifted to spectral abscissa 0
+    # so that e^A neither overflows nor vanishes
+    M = np.random.default_rng(seed).standard_normal((n, n))
+    A = M * (10.0**log_norm / np.max(np.sum(np.abs(M), axis=0)))
+    A -= np.max(np.linalg.eigvals(A).real) * np.eye(n)
+    ref = _scipy_expm(A)
+    # both lose digits in the squarings, about u ||A|| of the largest entry;
+    # on 2 x 2 rotations of ||A|| ~ 1e4 scipy's own error against a 60-digit
+    # reference reaches 5e-11, where this exponential stays within 5e-14
+    tol = 1e-13 * max(1.0, np.max(np.sum(np.abs(A), axis=0)))
+    assert np.max(np.abs(matrix_exponential(A) - ref)) <= tol * np.max(np.abs(ref))
+
+
+def test_condition_norms_match_the_scipy_propagator():
+    pieces = _design_pieces()
+    got = [l1_norm(*g) for g in pieces]
+    with mock.patch.object(analysis, "matrix_exponential", _scipy_expm):
+        ref = [l1_norm(*g) for g in pieces]
+    assert got == pytest.approx(ref, rel=1e-11, abs=0.0)
 
 
 def test_hold_integral_matches_series(model):
@@ -206,6 +268,14 @@ def test_l1_norm_parallel_subadditivity():
 def test_l1_norm_rejects_unstable():
     with pytest.raises(UnstableSystemError):
         l1_norm(np.array([[0.1]]), np.array([[1.0]]), np.array([[1.0]]))
+
+
+def test_l1_norm_refuses_a_march_too_stiff_to_finish():
+    # 2000 samples per unit of stiffness ratio: 2e12 samples, hours of march
+    with pytest.raises(ValueError, match=r"slowest time constant 1e\+06 s, fastest 0\.001 s, "
+                                         r"2e\+12 samples") as exc:
+        l1_norm(np.diag([-1e-6, -1e3]), np.ones((2, 1)), np.ones((1, 2)))
+    assert not isinstance(exc.value, UnstableSystemError)
 
 
 def _sequential_l1_norm(A, B, C):

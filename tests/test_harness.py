@@ -879,9 +879,9 @@ def _scipy_probe_argv(tmp_path, case):
     ("run-rrc", False),
     ("run-rrc-check", False),
     ("run-l1ac", True),
-    ("condition", True),
+    ("condition", False),
 ])
-def test_cli_loads_scipy_only_for_a_matrix_exponential(tmp_path, case, loads_scipy):
+def test_cli_loads_scipy_only_to_build_the_adaptive_controller(tmp_path, case, loads_scipy):
     # a fresh interpreter per command, so nothing this test process loaded counts
     src = str(Path(sea_l1ac.__file__).resolve().parents[1])
     code = ("import sys\nfrom sea_l1ac.cli import main\nrc = main(sys.argv[1:])\n"
@@ -1063,6 +1063,23 @@ def test_cli_condition_rejects_a_negative_test_mass(tmp_path, capsys):
     assert main(["analyze", "condition", str(cfgfile), "--out-dir", str(tmp_path / "an")]) == 2
     assert "test mass -3.0 must be nonnegative" in capsys.readouterr().err
     assert not (tmp_path / "an").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "run"])
+def test_cli_refuses_a_filter_too_stiff_to_certify(tmp_path, capsys, command):
+    # K_a = 1e-6 puts a 1e6 s pole in C(s): the L1 march would need 2e11 samples
+    if command == "analyze":
+        cfgfile = tmp_path / "an.ini"
+        cfgfile.write_text("[condition]\nfilter_time_constants = 0.01\nfilter_gain = 1e-6\n")
+        argv = ["analyze", "condition", str(cfgfile)]
+    else:
+        scen = tmp_path / "s.ini"
+        scen.write_text(SCENARIO_INI)
+        argv = ["run", str(scen), "--check-condition", "--ka", "1e-6"]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert '"error": "config"' in err and "samples (at most 1e+07)" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_condition_warning_for_bad_filter(tmp_path, capsys):
