@@ -325,20 +325,22 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
 # metrics
 # ---------------------------------------------------------------------------
 
-def compute_metrics(trace: RunTrace, cfg: ScenarioConfig | None = None) -> MetricsReport:
-    """Step-response metrics; unsettled traces get settling_time None."""
+def compute_metrics(trace: RunTrace) -> MetricsReport:
+    """Step-response metrics of a trace, read from its columns and ``meta``.
+
+    ``meta`` must hold ``q_d_amplitude``, ``q_d_start`` and ``omega``, which
+    ``run_scenario`` writes and an exported trace keeps; the contact geometry
+    ``contact_stiffness`` and ``contact_position`` default to no wall.
+    Unsettled traces get settling_time None.
+    """
     if len(trace) == 0:
         raise ValueError("trace is empty")
     meta = trace.meta
-    omega = _meta_value(meta, "omega", benchmark_params().omega)
-    if cfg is not None:
-        amplitude, start = cfg.q_d_amplitude, cfg.q_d_start
-        k_e, q_0 = cfg.contact_stiffness, cfg.contact_position
-    else:
-        amplitude = _meta_value(meta, "q_d_amplitude")
-        start = _meta_value(meta, "q_d_start")
-        k_e = _meta_value(meta, "contact_stiffness", 0.0)
-        q_0 = _meta_value(meta, "contact_position", 0.0)
+    amplitude = _meta_value(meta, "q_d_amplitude")
+    start = _meta_value(meta, "q_d_start")
+    omega = _meta_value(meta, "omega")
+    k_e = _meta_value(meta, "contact_stiffness", 0.0)
+    q_0 = _meta_value(meta, "contact_position", 0.0)
     for name in ("t_s", "q_rad", "current_permil", "dq_rad_per_s"):
         bad = np.flatnonzero(~np.isfinite(trace[name]))
         if bad.size:
@@ -405,94 +407,31 @@ def _settling_time(t, q, amplitude, start) -> float | None:
 
 
 def _rise_delay(t, q, amplitude, start, omega, max_shift=0.5, step=1e-3) -> float:
-    """Time shift of the trace that best matches the analytic nominal response.
+    """The shift, out of 0, step, ..., max_shift, whose delayed analytic
+    nominal response best matches ``q`` in least squares; the smallest shift
+    of least cost wins ties.
 
-    The shifts are 0, step, ..., max_shift. A shift's cost is
-    ``sum((q - analytic_nominal_response(amplitude, omega, t - start - shift))**2)``
-    over the whole trace, and the smallest shift of least cost wins ties.
-
-    Only the shifts ``_screened_shifts`` cannot rule out are evaluated with
-    that formula, in ascending order with strict ``<``, so the result is the
-    one a loop over every shift returns. On a uniform ``t`` grid whose
-    spacing divides ``step`` into fewer than ``len(t)`` parts the screen
-    keeps a handful; on any other grid, or when a screened cost is not
-    finite, it keeps every shift.
+    On a uniform ``t`` whose spacing dt divides ``step`` into m parts,
+    1 <= m < len(t), the response is evaluated once on the grid extended
+    back by max_shift = K step, and shift k step reads its slice at offset
+    m (K - k); the costs then equal the per-shift ones up to rounding. On
+    any other grid each shift's response is evaluated at ``t - shift``.
     """
-    shifts = np.arange(0.0, max_shift + step / 2, step)
+    n, count = len(t), int(round(max_shift / step)) + 1
     since_start = t - start
-    best_shift, best_cost = 0.0, math.inf
-    for k in _screened_shifts(since_start, q, amplitude, omega, shifts):
-        ref = analytic_nominal_response(amplitude, omega, since_start - shifts[k])
-        cost = float(np.sum((q - ref) ** 2))
-        if cost < best_cost:
-            best_cost, best_shift = cost, float(shifts[k])
-    return best_shift
-
-
-_EPS = float(np.finfo(float).eps)
-# max |d/dt analytic_nominal_response| / (|q_d| omega): the peak of x^3 e^-x / 6, at x = 3
-_RESPONSE_SLOPE = 27.0 / 6.0 * math.exp(-3.0)
-
-
-def _screened_shifts(since_start, q, amplitude, omega, shifts):
-    """Indices of the shifts whose exact cost may be the least.
-
-    On a uniform grid with ``step = m * dt`` the response delayed by shift k
-    is, up to rounding, the response on the grid extended back by
-    ``m * (len(shifts) - 1)`` samples, read from offset ``m * (K - k)``. One
-    response evaluation then screens every shift.
-    """
-    n, count = len(since_start), len(shifts)
-    everything = range(count)
-    if n < 2 or count < 2:
-        return everything
-    dt = (since_start[-1] - since_start[0]) / (n - 1)
-    ratio = (shifts[1] - shifts[0]) / dt if dt > 0.0 else 0.0
-    m = round(ratio) if math.isfinite(ratio) else 0
-    if not 1 <= m < n:  # m >= n: the extended grid outgrows the loop's evaluations
-        return everything
-    lag = m * np.arange(count)
-    nonuniform = float(np.max(np.abs(since_start - (since_start[0] + dt * np.arange(n)))))
-    mismatch = float(np.max(np.abs(shifts - dt * lag)))
-    if not (nonuniform <= 1e-6 * dt and mismatch <= 1e-6 * dt):
-        return everything
-
-    span = int(lag[-1])
-    grid = np.concatenate((since_start[0] - dt * np.arange(span, 0, -1), since_start))
-    response = analytic_nominal_response(amplitude, omega, grid)
-    screened = np.empty(count)
-    for k in range(count):
-        d = q - response[span - lag[k]:span - lag[k] + n]
-        screened[k] = d @ d
-    if not np.all(np.isfinite(screened)):
-        return everything
-
-    # |exact cost - screened cost| <= bound, per shift:
-    # - Arguments. The exact one is fl(since_start[i] - shift), the screened
-    #   one grid[i + m(K - k)]; with g(p) = since_start[0] + p dt they differ
-    #   by at most 2 nonuniform + mismatch plus about a dozen half-ulp
-    #   roundings of numbers no larger than `scale` (6 eps scale; 8 is used).
-    # - References. The response is Lipschitz with |r'| <= 0.224 |q_d| omega,
-    #   and each floating evaluation is within about 9 eps |q_d| of the real
-    #   function (exp, pow and the polynomial, with e^-x P(x) <= 1); 32 eps
-    #   per evaluation gives dev >= |exact ref - screened ref| per sample.
-    # - Costs. With S the screened cost, n dev^2 + 2 dev sqrt(n S') bounds
-    #   the change of the real sum of squares (Cauchy-Schwarz), where S' =
-    #   S / (1 - gamma) bounds that real sum. Forming n squares and summing
-    #   them in any order, pairwise or dot, rounds each real sum by at most
-    #   gamma = (n + 4) eps of itself, on both sides.
-    # The additive n dev^2 term keeps the bound valid when the least cost is
-    # 0. The first exact minimiser k* then has screened[k*] - bound[k*] <=
-    # exact[k*] <= exact[j] <= screened[j] + bound[j] for every j, so it is
-    # kept.
-    scale = float(np.max(np.abs(grid))) + float(shifts[-1])
-    delta = 2.0 * nonuniform + mismatch + 8.0 * _EPS * scale
-    dev = _RESPONSE_SLOPE * abs(amplitude * omega) * delta + 64.0 * _EPS * abs(amplitude)
-    gamma = (n + 4) * _EPS
-    real = screened / (1.0 - gamma)
-    change = 2.0 * dev * np.sqrt(n * real) + n * dev * dev
-    bound = change + gamma * (2.0 * real + change)
-    return np.flatnonzero(screened - bound <= np.min(screened + bound))
+    dt = (since_start[-1] - since_start[0]) / (n - 1) if n > 1 else 0.0
+    m = round(step / dt) if dt * n > step else 0
+    span = m * (count - 1)
+    if (1 <= m < n and abs((count - 1) * step - span * dt) <= 1e-6 * dt
+            and np.max(np.abs(since_start - (since_start[0] + dt * np.arange(n)))) <= 1e-6 * dt):
+        grid = np.concatenate((since_start[0] - dt * np.arange(span, 0, -1), since_start))
+        response = analytic_nominal_response(amplitude, omega, grid)
+        slices = (response[span - m * k:span - m * k + n] for k in range(count))
+    else:
+        slices = (analytic_nominal_response(amplitude, omega, since_start - k * step)
+                  for k in range(count))
+    costs = [float(d @ d) for d in (q - r for r in slices)]
+    return float(np.argmin(costs)) * step
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +471,7 @@ def run_suite(suite: SuiteConfig) -> SuiteResult:
         try:
             trace = run_scenario(scen)
             traces[scen.name] = trace
-            metrics[scen.name] = compute_metrics(trace, scen)
+            metrics[scen.name] = compute_metrics(trace)
         except Exception as exc:  # noqa: BLE001 - isolation is the contract
             errors[scen.name] = exc
     return SuiteResult(name=suite.name, traces=traces, metrics=metrics, errors=errors)

@@ -68,7 +68,7 @@ def load_results():
         for mass in MASSES:
             cfg = _load_cfg(ctl, mass)
             trace = run_scenario(cfg)
-            out[(ctl, mass)] = (trace, compute_metrics(trace, cfg))
+            out[(ctl, mass)] = (trace, compute_metrics(trace))
     return out
 
 
@@ -79,7 +79,7 @@ def collision_results():
         for k_e in STIFFNESSES:
             cfg = _collision_cfg(ctl, k_e)
             trace = run_scenario(cfg)
-            out[(ctl, k_e)] = (trace, compute_metrics(trace, cfg))
+            out[(ctl, k_e)] = (trace, compute_metrics(trace))
     return out
 
 
@@ -95,7 +95,7 @@ def test_criterion_1_nominal_fidelity(params):
     ref = analytic_nominal_response(QD, params.omega, t)
     window = t <= 1.0
     max_err = float(np.max(np.abs(trace["q_rad"] - ref)[window]))
-    overshoot = compute_metrics(trace, cfg).overshoot_pct
+    overshoot = compute_metrics(trace).overshoot_pct
     ok = max_err < 1e-3 and overshoot < 0.5 and elapsed < 1.0
     _report(1, ok, f"pointwise err {max_err:.2e} rad (<1e-3), overshoot "
                    f"{overshoot:.3f}% (<0.5), runtime {elapsed:.2f}s (<1)")

@@ -361,6 +361,15 @@ def test_metrics_name_the_missing_metadata_key(tmp_path, capsys):
     assert main(["metrics", str(path)]) == 2
     err = capsys.readouterr().err
     assert '"error": "config"' in err and str(path) in err and "q_d_amplitude" in err
+    # omega sets the nominal response the rise delay is measured against:
+    # a trace that lost it is rejected, not measured against the benchmark plant
+    path.write_text("# q_d_amplitude=1.0 q_d_start=0.0\n" + ",".join(TRACE_COLUMNS) + "\n"
+                    + ",".join(["0.0"] * len(TRACE_COLUMNS)) + "\n")
+    with pytest.raises(ValueError, match="no 'omega'"):
+        compute_metrics(import_trace(path))
+    assert main(["metrics", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert '"error": "config"' in err and str(path) in err and "omega" in err
 
 
 @pytest.mark.parametrize("key", ["q_d_amplitude", "q_d_start", "omega",
@@ -402,16 +411,19 @@ def test_metrics_reject_a_non_finite_sample(tmp_path, capsys, column, raw):
     assert column in captured.err
 
 
-def _rise_delay_oracle(t, q, amplitude, start, omega, max_shift=0.5, step=1e-3):
-    """The loop over every shift that _rise_delay must agree with exactly."""
+def _oracle_costs(t, q, amplitude, start, omega, max_shift=0.5, step=1e-3):
+    """Every shift and its cost, each delayed response evaluated at t itself."""
     shifts = np.arange(0.0, max_shift + step / 2, step)
-    best_shift, best_cost = 0.0, math.inf
-    for shift in shifts:
-        ref = analytic_nominal_response(amplitude, omega, t - start - shift)
-        cost = float(np.sum((q - ref) ** 2))
-        if cost < best_cost:
-            best_cost, best_shift = cost, float(shift)
-    return best_shift
+    costs = np.array([
+        np.sum((q - analytic_nominal_response(amplitude, omega, t - start - shift)) ** 2)
+        for shift in shifts])
+    return shifts, costs
+
+
+def _rise_delay_oracle(*args):
+    """The loop over every shift; the smallest shift of least cost wins ties."""
+    shifts, costs = _oracle_costs(*args)
+    return float(shifts[np.argmin(costs)])
 
 
 @settings(max_examples=80, deadline=None)
@@ -442,7 +454,19 @@ def test_rise_delay_matches_the_loop_over_every_shift(T_s, decimate, duration, a
     q = analytic_nominal_response(amplitude, omega, t - start - true_shift)
     q = q + noise * (abs(amplitude) + 0.1) * rng.standard_normal(len(t))
     args = (t, q, amplitude, start, omega)
-    assert _rise_delay(*args) == _rise_delay_oracle(*args)
+    # the extended grid reads each delayed response from one evaluation, so
+    # its costs equal the loop's up to rounding: the shift it returns costs
+    # the loop at most `bound` more than the least, and is the loop's shift
+    # whenever no other shift comes within `bound` of the least cost
+    delay = _rise_delay(*args)
+    shifts, costs = _oracle_costs(*args)
+    k = round(delay / 1e-3)
+    assert delay == shifts[k]
+    bound = 1e-12 * len(t) * max(abs(amplitude), float(np.max(np.abs(q)))) ** 2
+    least, runner_up = np.sort(costs)[:2]
+    assert costs[k] - least <= bound
+    if runner_up - least > bound:
+        assert delay == _rise_delay_oracle(*args)
 
 
 def test_rise_delay_on_a_grid_far_finer_than_the_shift_step():
@@ -457,21 +481,23 @@ def test_rise_delay_on_a_grid_far_finer_than_the_shift_step():
 def test_rise_delay_keeps_the_first_of_two_tied_shifts():
     # At omega = 1e5 rad/s the response rises within one 1 ms sample, so
     # shift a has one rising sample (index a) and shift a + 1 the next one.
-    # q halfway between the two delayed responses gives both shifts the same
-    # squared errors, and so bit-equal costs, whenever the halving is exact.
-    omega, a = 1e5, 120
-    shifts = np.arange(0.0, 0.5 + 0.5e-3, 1e-3)
+    # q halfway between the two shifts' slices of the response on the grid
+    # extended back by 0.5 s gives both shifts the same squared errors, and
+    # so bit-equal costs, whenever the halving is exact.
+    omega, a, n, span = 1e5, 120, 400, 500
     ties = 0
     for phase in np.linspace(0.011, 0.089, 24):
-        t = (np.arange(400) + phase) * 1e-3
-        ref_a = analytic_nominal_response(1.0, omega, t - 0.0 - shifts[a])
-        ref_b = analytic_nominal_response(1.0, omega, t - 0.0 - shifts[a + 1])
+        t = (np.arange(n) + phase) * 1e-3
+        dt = (t[-1] - t[0]) / (n - 1)
+        grid = np.concatenate((t[0] - dt * np.arange(span, 0, -1), t))
+        response = analytic_nominal_response(1.0, omega, grid)
+        ref_a, ref_b = response[span - a:][:n], response[span - a - 1:][:n]
         q = (ref_a + ref_b) / 2.0
-        if np.sum((q - ref_a) ** 2) != np.sum((q - ref_b) ** 2):
+        d_a, d_b = q - ref_a, q - ref_b
+        if d_a @ d_a != d_b @ d_b:
             continue
         ties += 1
-        assert _rise_delay_oracle(t, q, 1.0, 0.0, omega) == shifts[a]
-        assert _rise_delay(t, q, 1.0, 0.0, omega) == shifts[a]
+        assert _rise_delay(t, q, 1.0, 0.0, omega) == a * 1e-3
     assert ties >= 8
 
 
@@ -507,7 +533,7 @@ def test_suite_rejects_duplicate_names():
 
 def test_baseline_nominal_step_quality():
     cfg = _quick(name="rrc_nom", controller="rrc", duration=3.0)
-    rep = compute_metrics(run_scenario(cfg), cfg)
+    rep = compute_metrics(run_scenario(cfg))
     assert abs(rep.static_error_rad) < 1e-3
     assert rep.overshoot_pct < 0.5
 
@@ -525,7 +551,7 @@ def test_adaptive_without_gravity_feedforward_still_tracks(params):
                          mass=2.25, duration=3.0)
     assert cfg.controller == "l1ac-nogc"
     trace = run_scenario(cfg)
-    rep = compute_metrics(trace, cfg)
+    rep = compute_metrics(trace)
     assert abs(rep.static_error_rad) < 0.01
     # without the feedforward the estimate carries the whole gravity torque
     full_gravity = (2.25 / params.m_0) * params.G_0 / params.J_a
@@ -536,7 +562,7 @@ def test_adaptive_without_gravity_feedforward_still_tracks(params):
 def test_baseline_static_error_grows_with_load_mismatch():
     def err(mass):
         cfg = _quick(name=f"rrc_{mass}", controller="rrc", duration=3.0, mass=mass)
-        return abs(compute_metrics(run_scenario(cfg), cfg).static_error_rad)
+        return abs(compute_metrics(run_scenario(cfg)).static_error_rad)
 
     nominal, light, heavy = err(1.5), err(0.75), err(2.25)
     assert light > nominal and heavy > nominal
