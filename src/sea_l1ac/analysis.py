@@ -357,7 +357,7 @@ def filtered_resolvent(
 def reference_loop_pieces(model: NominalModel, cfg: L1Config):
     """The three (A, B, C) transfer blocks of the idealized reference loop.
 
-    G_1 = (sI - A_m)^-1 B_m  (1 - C(s))   matched-disturbance path
+    G_1 = (sI - A_m)^-1 B_m  (1 - C(s))   matched-disturbance path (reported only)
     G_2 = (sI - A_m)^-1 B_um (1 - C(s))   unmatched-disturbance path
     G_d = (sI - A_m)^-1 B_m  C(s)         command path
     """
@@ -375,41 +375,21 @@ def reference_loop_pieces(model: NominalModel, cfg: L1Config):
 
 @dataclass(frozen=True)
 class StabilityBudget:
-    """Disturbance envelope: peak bounds linear in the state peak.
+    """Unmatched-disturbance envelope, a peak bound linear in the state peak:
 
-    Matched channel:   |sigma1| <= L_1 ||x||_inf + B_1
-    Unmatched channel: |sigma2| <= L_2 ||x||_inf + B_2
-    The derived quantities l_0 = L_1 / L_2 and B_0 = max(B_1 / l_0, B_2)
-    repackage the pair for the filter design condition; the degenerate
-    combinations resolve as: l_0 = 0 when L_1 = 0, the B_1/l_0 term drops
-    when B_1 = 0 and is infinite when B_1 > 0 with l_0 = 0.
+        |sigma2| <= L_2 ||x||_inf + B_2
+
+    The matched channel is left to the disturbance observer, so the budget
+    charges nothing there.
     """
 
-    L_1: float = 0.0
-    B_1: float = 0.0
     L_2: float = 0.0
     B_2: float = 0.0
-    rho_r: float | None = None
 
     def __post_init__(self):
-        for name in ("L_1", "B_1", "L_2", "B_2"):
+        for name in ("L_2", "B_2"):
             if not 0.0 <= getattr(self, name) < math.inf:  # nan fails too
                 raise ValueError(f"{name} must be nonnegative and finite")
-
-    @property
-    def l_0(self) -> float:
-        if self.L_2 > 0.0:
-            return self.L_1 / self.L_2
-        return 0.0 if self.L_1 == 0.0 else math.inf
-
-    @property
-    def B_0(self) -> float:
-        l0 = self.l_0
-        if l0 > 0.0 and math.isfinite(l0):
-            return max(self.B_1 / l0, self.B_2)
-        if self.B_1 == 0.0:
-            return self.B_2
-        return math.inf
 
     @staticmethod
     def from_envelope(
@@ -423,8 +403,6 @@ class StabilityBudget:
         The unmatched slope comes from the stiffest contact, the unmatched
         offset from the worst gravity torque left to the adaptive path (the
         load deviation when gravity is compensated, the full load otherwise).
-        The matched channel is taken as fully covered by the disturbance
-        observer, so L_1 = B_1 = 0.
         """
         masses = list(masses)
         if not masses:
@@ -437,12 +415,7 @@ class StabilityBudget:
         else:
             worst = max(abs(m) for m in masses)
         b2 = (worst / params.m_0) * params.G_0 / params.J_a
-        return StabilityBudget(
-            L_1=0.0,
-            B_1=0.0,
-            L_2=max_contact_stiffness / params.J_a,
-            B_2=b2,
-        )
+        return StabilityBudget(L_2=max_contact_stiffness / params.J_a, B_2=b2)
 
 
 @dataclass(frozen=True)
@@ -466,63 +439,39 @@ def check_stability_condition(
     budget: StabilityBudget,
     qd_peak: float = math.pi / 2,
 ) -> ConditionReport:
-    """Certify that some finite reference bound rho_r satisfies
+    """Whether some finite reference bound rho_r satisfies
 
-        ||G_1|| l_0 + ||G_2|| < (rho_r - c) / (L_2 rho_r + B_0),
-        c = ||G_d|| |K_g| |q_d|_peak
+        ||G_2|| < (rho_r - c) / (L_2 rho_r + B_2),   c = ||G_d|| |K_g| |q_d|_peak
 
-    (Hovakimyan & Cao, L1 Adaptive Control Theory, SIAM 2010): the command
-    enters the loop as K_g q_d, and its share c of the state peak comes off
-    rho_r. A zero denominator holds when the numerator is positive.
+    (Hovakimyan & Cao, L1 Adaptive Control Theory, SIAM 2010), and the least
+    one that does. The command enters the loop as K_g q_d, and its share c
+    of the state peak comes off rho_r. The matched channel is left to the
+    disturbance observer: ``norm_g1`` is reported but not charged.
 
-    With the budget's fixed candidate rho_r the report is about that
-    candidate alone. Without one the answer is closed-form, since the
-    right-hand side never decreases in rho_r and tends to 1/L_2 (infinity
-    when L_2 = 0): the condition holds exactly when lhs L_2 < 1, ``rho_best``
-    is the least certified bound (c + lhs B_0) / (1 - lhs L_2), every larger
-    rho_r being certified (infinite when violated), ``rhs_best`` is the
-    supremum 1/L_2, and ``margin`` is rhs_best - lhs. An unstable closed
-    filter C(s) makes the norms infinite; that is reported as violated, not
-    raised: it answers about a candidate.
+    The right-hand side never decreases in rho_r and tends to 1/L_2
+    (infinity when L_2 = 0), so the condition holds exactly when
+    lhs L_2 < 1, with lhs = ||G_2||. ``rho_best`` is then the least
+    certified bound (c + lhs B_2) / (1 - lhs L_2), every larger rho_r being
+    certified (infinite when violated), ``rhs_best`` is the supremum 1/L_2,
+    and ``margin`` is rhs_best - lhs. An unstable closed filter C(s) makes
+    the norms infinite; that is reported as violated, not raised.
     """
-    num_c, den = shaping_filter_polynomials(cfg.T, cfg.K_a)
+    _, den = shaping_filter_polynomials(cfg.T, cfg.K_a)
     if np.max(np.roots(den).real) >= 0.0:
         return ConditionReport(
             satisfied=False, margin=-math.inf, lhs=math.inf, rhs_best=0.0,
             rho_best=math.nan, norm_g1=math.inf, norm_g2=math.inf,
             norm_gd=math.inf, reason="closed filter C(s) unstable",
         )
-    n1, n2, nd = (l1_norm(*g) for g in reference_loop_pieces(model, cfg))
-
-    l0, b0 = budget.l_0, budget.B_0
-    lhs = n1 * l0 + n2
-    if not math.isfinite(lhs) or not math.isfinite(b0):
-        return ConditionReport(
-            satisfied=False, margin=-math.inf, lhs=lhs, rhs_best=0.0,
-            rho_best=math.nan, norm_g1=n1, norm_g2=n2, norm_gd=nd,
-            reason="degenerate budget (infinite l_0 or B_0)",
-        )
-
+    n1, lhs, nd = (l1_norm(*g) for g in reference_loop_pieces(model, cfg))
     command = nd * abs(model.K_g) * abs(qd_peak)
     L_2 = budget.L_2
-    if budget.rho_r is None:
-        satisfied = lhs * L_2 < 1.0
-        rho = (command + lhs * b0) / (1.0 - lhs * L_2) if satisfied else math.inf
-        rhs = 1.0 / L_2 if L_2 > 0.0 else math.inf
-    else:
-        rho = budget.rho_r
-        num, denom = rho - command, L_2 * rho + b0
-        rhs = num / denom if denom > 0.0 else (math.inf if num > 0.0 else -math.inf)
-        satisfied = rhs > lhs
+    rhs = 1.0 / L_2 if L_2 > 0.0 else math.inf
+    satisfied = lhs * L_2 < 1.0
     return ConditionReport(
-        satisfied=bool(satisfied),
-        margin=rhs - lhs,
-        lhs=lhs,
-        rhs_best=rhs,
-        rho_best=float(rho),
-        norm_g1=n1,
-        norm_g2=n2,
-        norm_gd=nd,
+        satisfied=satisfied, margin=rhs - lhs, lhs=lhs, rhs_best=rhs,
+        rho_best=(command + lhs * budget.B_2) / (1.0 - lhs * L_2) if satisfied else math.inf,
+        norm_g1=n1, norm_g2=lhs, norm_gd=nd,
     )
 
 

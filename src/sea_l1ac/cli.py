@@ -140,14 +140,7 @@ def _cmd_suite(args) -> int:
 def _cmd_analyze(args) -> int:
     if args.what == "rootlocus":
         job = rootlocus_job_from_ini(args.config)
-        if job["log_scale"]:
-            grid = np.logspace(
-                np.log10(job["lambda_min"]), np.log10(job["lambda_max"]), job["points"])
-        else:
-            grid = np.linspace(job["lambda_min"], job["lambda_max"], job["points"])
-        if job["include_zero"] and grid[0] != 0.0:
-            grid = np.concatenate([[0.0], grid])
-        rows = analysis.root_locus(job["params"].omega, grid).csv_rows()
+        rows = analysis.root_locus(job["params"].omega, job["lambdas"]).csv_rows()
     else:
         job = condition_job_from_ini(args.config)
         model, budget = _certificate(job["params"], job["masses"],

@@ -10,6 +10,8 @@ import configparser
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .harness import ConfigError, ScenarioConfig, SuiteConfig
 from .params import PlantParams, benchmark_params
 
@@ -138,25 +140,31 @@ def _float_list(raw: str) -> list[float]:
 
 
 def rootlocus_job_from_ini(path) -> dict:
-    """Grid description for the contact-stiffness root locus."""
+    """The contact-stiffness root locus job: its lambda grid, log or linear,
+    with a lambda = 0 row first under include_zero unless the grid already
+    starts there, and the plant parameters."""
     path = Path(path)
     ini = _Ini(path)
     if not ini.parser.has_section("rootlocus"):
         raise ConfigError(f"{path}: missing [rootlocus] section")
-    job = {
-        "lambda_min": ini.get("rootlocus", "lambda_min", finite_float, 1e-2),
-        "lambda_max": ini.get("rootlocus", "lambda_max", finite_float, 1e4),
-        "points": ini.get("rootlocus", "points", int, 61),
-        "log_scale": ini.get("rootlocus", "log_scale", bool, True),
-        "include_zero": ini.get("rootlocus", "include_zero", bool, True),
-        "params": _plant_overrides(ini) or benchmark_params(),
-    }
+    lo = ini.get("rootlocus", "lambda_min", finite_float, 1e-2)
+    hi = ini.get("rootlocus", "lambda_max", finite_float, 1e4)
+    points = ini.get("rootlocus", "points", int, 61)
+    log_scale = ini.get("rootlocus", "log_scale", bool, True)
+    include_zero = ini.get("rootlocus", "include_zero", bool, True)
+    params = _plant_overrides(ini) or benchmark_params()
     ini.check_unknown()
-    if job["lambda_min"] <= 0.0 and job["log_scale"]:
+    if lo <= 0.0 and log_scale:
         raise ConfigError("lambda_min must be positive on a log grid")
-    if job["lambda_max"] < job["lambda_min"] or job["points"] < 1:
+    if hi < lo or points < 1:
         raise ConfigError("bad lambda grid")
-    return job
+    if log_scale:
+        lambdas = np.logspace(np.log10(lo), np.log10(hi), points)
+    else:
+        lambdas = np.linspace(lo, hi, points)
+    if include_zero and lambdas[0] != 0.0:
+        lambdas = np.concatenate([[0.0], lambdas])
+    return {"lambdas": lambdas, "params": params}
 
 
 def condition_job_from_ini(path) -> dict:

@@ -411,26 +411,29 @@ def _rise_delay(t, q, amplitude, start, omega, max_shift=0.5, step=1e-3) -> floa
     nominal response best matches ``q`` in least squares; the smallest shift
     of least cost wins ties.
 
-    On a uniform ``t`` whose spacing dt divides ``step`` into m parts,
-    1 <= m < len(t), the response is evaluated once on the grid extended
-    back by max_shift = K step, and shift k step reads its slice at offset
-    m (K - k); the costs then equal the per-shift ones up to rounding. On
-    any other grid each shift's response is evaluated at ``t - shift``.
+    On a uniform ``t`` whose spacing dt is step / m, 1 <= m < len(t), or
+    r step, the response is evaluated once on the grid of spacing
+    h = dt / r (r = 1 in the first case) that holds ``t`` and extends back
+    by max_shift = K step; shift k step reads every r-th sample of it from
+    offset m (K - k), so the costs equal the per-shift ones up to rounding.
+    On any other grid each shift's response is evaluated at ``t - shift``.
     """
     n, count = len(t), int(round(max_shift / step)) + 1
     since_start = t - start
     dt = (since_start[-1] - since_start[0]) / (n - 1) if n > 1 else 0.0
-    m = round(step / dt) if dt * n > step else 0
-    span = m * (count - 1)
-    if (1 <= m < n and abs((count - 1) * step - span * dt) <= 1e-6 * dt
+    m = max(round(step / dt), 1) if dt * n > step else 0
+    r = max(round(dt / step), 1)
+    h, span = dt / r, m * (count - 1)
+    if (1 <= m < n and abs((count - 1) * step - span * h) <= 1e-6 * h
             and np.max(np.abs(since_start - (since_start[0] + dt * np.arange(n)))) <= 1e-6 * dt):
-        grid = np.concatenate((since_start[0] - dt * np.arange(span, 0, -1), since_start))
+        grid = since_start[0] + h * np.arange(-span, (n - 1) * r + 1)
+        grid[span::r] = since_start
         response = analytic_nominal_response(amplitude, omega, grid)
-        slices = (response[span - m * k:span - m * k + n] for k in range(count))
+        slices = (response[span - m * k::r][:n] for k in range(count))
     else:
         slices = (analytic_nominal_response(amplitude, omega, since_start - k * step)
                   for k in range(count))
-    costs = [float(d @ d) for d in (q - r for r in slices)]
+    costs = [float(d @ d) for d in (q - ref for ref in slices)]
     return float(np.argmin(costs)) * step
 
 

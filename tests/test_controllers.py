@@ -322,9 +322,9 @@ def test_reference_system_respects_certified_bound(params, gains, model):
     # oracle: simulate under an in-envelope disturbance and take the max norm
     from sea_l1ac import StabilityBudget, check_stability_condition
 
-    budget = StabilityBudget(L_2=0.0, B_2=12.84, rho_r=100.0)
+    budget = StabilityBudget(L_2=0.0, B_2=12.84)
     rep = check_stability_condition(model, L1Config(), budget, qd_peak=math.pi / 2)
-    assert rep.satisfied
+    assert rep.satisfied and 100.0 > rep.rho_best
     ref = _reference(params, gains, model)
     sigma2 = np.array([0.0, -12.84, 0.0])
     peak = 0.0

@@ -158,7 +158,7 @@ def _l1(**kwargs):
     (_l1, {"torque_limit": math.nan}, ValueError),
     (_l1, {"torque_limit": -5.0}, ValueError),
     (StabilityBudget, {"L_2": math.nan, "B_2": 1.0}, ValueError),
-    (StabilityBudget, {"B_1": math.inf}, ValueError),
+    (StabilityBudget, {"B_2": math.inf}, ValueError),
     (_plant, {"f_m": math.nan}, ValueError),
     (_plant, {"m": math.nan}, ValueError),
     (_plant, {"G_0": math.nan}, ValueError),
@@ -445,6 +445,10 @@ def _rise_delay_oracle(*args):
          noise=0.0, jitter=0.0, omega=benchmark_params().omega, seed=3)
 @example(T_s=0.5e-3, decimate=1, duration=0.8, amplitude=-0.8, start=0.1, true_shift=0.0415,
          noise=0.0, jitter=0.0, omega=benchmark_params().omega, seed=2)
+@example(T_s=2e-3, decimate=1, duration=3.0, amplitude=math.pi / 2, start=0.25, true_shift=0.094,
+         noise=1e-3, jitter=0.0, omega=benchmark_params().omega, seed=4)
+@example(T_s=5e-3, decimate=1, duration=3.0, amplitude=-0.8, start=0.1, true_shift=0.0415,
+         noise=0.0, jitter=0.0, omega=benchmark_params().omega, seed=5)
 def test_rise_delay_matches_the_loop_over_every_shift(T_s, decimate, duration, amplitude, start,
                                                       true_shift, noise, jitter, omega, seed):
     rng = np.random.default_rng(seed)
@@ -476,6 +480,26 @@ def test_rise_delay_on_a_grid_far_finer_than_the_shift_step():
     q = np.linspace(0.0, 1e-3, 50)
     args = (t, q, 1.0, 0.0, benchmark_params().omega)
     assert _rise_delay(*args) == _rise_delay_oracle(*args)
+
+
+@pytest.mark.parametrize("dt, evaluations", [
+    (0.5e-3, 1), (1e-3, 1), (2e-3, 1), (5e-3, 1), (1.5e-3, 501)])
+def test_rise_delay_evaluates_one_response_when_the_grid_shares_the_shift_step(
+        monkeypatch, dt, evaluations):
+    # spacings that divide the 1 ms shift step or are whole steps of it read
+    # every shift from one response; a 1.5 ms grid evaluates each shift
+    omega = benchmark_params().omega
+    t = np.arange(round(1.0 / dt)) * dt
+    q = analytic_nominal_response(1.0, omega, t - 0.05)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return analytic_nominal_response(*args)
+
+    monkeypatch.setattr(sea_l1ac.harness, "analytic_nominal_response", counted)
+    assert _rise_delay(t, q, 1.0, 0.0, omega) == 0.05
+    assert len(calls) == evaluations
 
 
 def test_rise_delay_keeps_the_first_of_two_tied_shifts():
