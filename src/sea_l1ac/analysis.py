@@ -191,16 +191,34 @@ def observable_realization(numerators, den):
 # ---------------------------------------------------------------------------
 
 def polynomial_roots(coeffs) -> np.ndarray:
-    """Roots of a polynomial of degree at least 1 (leading zeros dropped),
-    as companion-matrix eigenvalues.
+    """Roots of a polynomial of degree at least 1, as companion-matrix
+    eigenvalues.
+
+    A 1-D ``coeffs`` drops its leading zeros and goes to ``np.roots``, which
+    also returns exact zeros for trailing zero coefficients. A 2-D ``coeffs``
+    is a stack of same-degree rows with nonzero leading coefficients; their
+    companion matrices, built as ``np.roots`` builds them, go to one batched
+    ``np.linalg.eigvals``, so row k comes out as ``np.roots(coeffs[k])`` does
+    when its trailing coefficient is nonzero.
 
     An m-fold root comes back as a cluster of radius O(eps^(1/m)) about it;
     callers that know a repeated root write the polynomial about it instead.
     """
-    c = np.trim_zeros(np.atleast_1d(np.asarray(coeffs, dtype=float)), "f")
-    if len(c) < 2:
-        raise ValueError("polynomial degree must be at least 1")
-    return np.roots(c)
+    c = np.asarray(coeffs, dtype=float)
+    if c.ndim < 2:
+        c = np.trim_zeros(np.atleast_1d(c), "f")
+        if len(c) < 2:
+            raise ValueError("polynomial degree must be at least 1")
+        return np.roots(c)
+    if c.ndim > 2 or c.shape[1] < 2:
+        raise ValueError("a stack of polynomials is 2-D, with degree at least 1")
+    if not np.all(c[:, 0]):
+        raise ValueError("every polynomial in a stack needs a nonzero leading coefficient")
+    degree = c.shape[1] - 1
+    companion = np.zeros((len(c), degree, degree))
+    companion[:, 1:, :-1] = np.eye(degree - 1)
+    companion[:, 0, :] = -c[:, 1:] / c[:, :1]
+    return np.linalg.eigvals(companion)
 
 
 def contact_polynomial(omega: float, lam: float) -> np.ndarray:
@@ -249,18 +267,24 @@ def root_locus(omega: float, lambda_grid) -> RootLocusResult:
 
     The roots are solved about the nominal pole -w: in p = s + w the
     polynomial is p^4 + lam p^2 + 2 w lam p + 2 w^2 lam, whose four roots
-    at lam = 0 are exactly p = 0, so that row is exactly -w.
+    at lam = 0 are exactly p = 0, so that row is exactly -w. The whole grid
+    is one stack for ``polynomial_roots``. Raises ValueError naming the
+    first lambda that is negative, not finite, or large enough to overflow
+    a coefficient.
     """
     lam = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
-    if np.any(lam < 0.0):
-        raise ValueError("lambda gridpoints must be nonnegative")
-    roots = np.empty((len(lam), 4), dtype=complex)
-    flags = np.zeros(len(lam), dtype=bool)
-    for i, lv in enumerate(lam):
-        r = polynomial_roots([1.0, 0.0, lv, 2.0 * omega * lv, 2.0 * omega * omega * lv]) - omega
-        roots[i] = r[np.lexsort((-r.imag, r.real))]  # by real part, +imag first
-        scale = max(1.0, float(np.max(np.abs(r))))
-        flags[i] = bool(np.any(np.abs(r.imag) > 1e-8 * scale))
+    with np.errstate(over="ignore"):
+        coeffs = np.stack([np.ones_like(lam), np.zeros_like(lam), lam,
+                           2.0 * omega * lam, 2.0 * omega * omega * lam], axis=1)
+    for bad, why in ((~((lam >= 0.0) & (lam < math.inf)), "must be finite and nonnegative"),
+                     (~np.isfinite(coeffs).all(axis=1), "overflows the contact polynomial")):
+        if bad.any():
+            raise ValueError(f"lambda gridpoint {float(lam[bad.argmax()])!r} {why}")
+    r = polynomial_roots(coeffs) - omega
+    order = np.lexsort((-r.imag, r.real), axis=-1)  # by real part, +imag first
+    roots = np.take_along_axis(r, order, axis=-1).astype(complex, copy=False)
+    scale = np.maximum(1.0, np.abs(r).max(axis=-1, keepdims=True))
+    flags = np.any(np.abs(r.imag) > 1e-8 * scale, axis=-1)
     return RootLocusResult(lam=lam, roots=roots, has_conjugate_pair=flags)
 
 
@@ -288,10 +312,17 @@ def l1_norm(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
     2000 times the ratio of the slowest to the fastest time constant (a
     filter gain of 1e-3 at T = 10 ms needs 2e8 samples, about 45 s).
 
-    Blocks of K steps march as one product R X, with the output rows
-    R = [C E; C E^2; ...; C E^K] built by doubling and X <- E^K X carrying
-    the block start. K is the largest power of two that keeps the product's
-    K p n m multiply-adds within 2^16, or the first to cover every step.
+    Blocks of K steps march as one product X^T R^T, with X <- E^K X carrying
+    the block start. R^T is a contiguous (n, p K) array that holds the rows
+    C_i E^k, k = 1..K, transposed and output-major, so each output's K
+    samples are adjacent; the doubling fills it in place, one half from the
+    other. Each block's (m, p K) product goes into one reused buffer, takes
+    its absolute value in place and is summed over the samples in one
+    contiguous reduction, and the trapezoid's end corrections are applied
+    once, after the last block. K is the largest power of two that keeps
+    the product's K p n m multiply-adds within 2^16, or the first to cover
+    every step, so neither array exceeds 2^16 numbers: the march never holds
+    the whole response.
     OpenBLAS runs such a product on one thread; from about 2^18 it wakes its
     thread pool, which contends with the pool scipy.linalg leaves spinning,
     and the march turns several times slower on 2 CPUs. The exponential here
@@ -313,17 +344,28 @@ def l1_norm(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
         )
     Ed = matrix_exponential(A, dt)
     p, (n, m) = C.shape[0], B.shape
-    R, P = C @ Ed, Ed
-    while len(R) < steps * p and 2 * len(R) * n * m <= _BLOCK_MADDS:
-        R, P = np.vstack([R, R @ P]), P @ P
+    K = 1
+    while K < steps and 2 * K * p * n * m <= _BLOCK_MADDS:
+        K *= 2
+    RT = np.empty((n, p * K))
+    per_output = RT.reshape(n, p, K).transpose(1, 0, 2)  # [i, :, k] = (C_i E^(k+1))^T
+    per_output[:, :, 0] = C @ Ed
+    P, size = Ed, 1
+    while size < K:
+        np.matmul(P.T, per_output[:, :, :size], out=per_output[:, :, size:2 * size])
+        P, size = P @ P, 2 * size
+    g = np.empty((m, p * K))
+    samples = g.reshape(m, p, K)
+    total = np.zeros((m, p))
     X = B
-    acc = np.zeros((p, m))
-    g_prev = np.abs(C @ X)
-    for start in range(0, steps * p, len(R)):
-        g = np.abs(R[: steps * p - start] @ X).reshape(-1, p, m)
-        acc += (0.5 * dt) * (g_prev + 2.0 * g[:-1].sum(axis=0) + g[-1])
-        X, g_prev = P @ X, g[-1]
-    return float(np.max(np.sum(acc, axis=1)))
+    for start in range(0, steps, K):
+        np.matmul(X.T, RT, out=g)
+        np.abs(g, out=g)
+        total += samples[:, :, :steps - start].sum(axis=-1)
+        X = P @ X
+    # trapezoid: every sample counts once but the first and last count half
+    ends = np.abs(C @ B).T - samples[:, :, (steps - 1) % K]
+    return float(np.max(np.sum(dt * total + (0.5 * dt) * ends, axis=0)))
 
 
 def filtered_resolvent(
@@ -457,7 +499,7 @@ def check_stability_condition(
     the norms infinite; that is reported as violated, not raised.
     """
     _, den = shaping_filter_polynomials(cfg.T, cfg.K_a)
-    if np.max(np.roots(den).real) >= 0.0:
+    if np.max(polynomial_roots(den).real) >= 0.0:
         return ConditionReport(
             satisfied=False, margin=-math.inf, lhs=math.inf, rhs_best=0.0,
             rho_best=math.nan, norm_g1=math.inf, norm_g2=math.inf,

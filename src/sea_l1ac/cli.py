@@ -15,6 +15,7 @@ each classified as the same error in ``run`` would be.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -185,7 +186,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first call and shared by every
+    later one in the process: parsing leaves no state in it, and building it
+    costs about 1 ms, which a process that runs many commands pays once."""
     parser = _Parser(
         prog="sea-l1ac",
         description="Elastic-joint position control simulation and analysis",

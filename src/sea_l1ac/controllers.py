@@ -44,7 +44,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import solve
 
-from .analysis import hold_response, observable_realization, shaping_filter_polynomials
+from .analysis import (
+    hold_response,
+    observable_realization,
+    polynomial_roots,
+    shaping_filter_polynomials,
+)
 from .nominal import NominalModel, RrcGains, transfer_from_state_space
 from .params import PlantParams
 from .plant import gravity_gain
@@ -183,8 +188,7 @@ def build_filter_bank(model: NominalModel, cfg: L1Config):
     a channel would be improper or the closed filter is unstable.
     """
     num_c, den = shaping_filter_polynomials(cfg.T, cfg.K_a)
-    poles = np.roots(den)
-    if np.max(poles.real) >= 0.0:
+    if np.max(polynomial_roots(den).real) >= 0.0:
         raise ValueError("closed low-pass filter C(s) is unstable for this (T, K_a)")
 
     A_m, c = model.A_m, model.c

@@ -1,10 +1,12 @@
 import math
+import re
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sea_l1ac import (
@@ -203,6 +205,52 @@ def test_root_locus_rejects_negative_stiffness(params):
         root_locus(params.omega, [-1.0])
 
 
+@pytest.mark.parametrize("lam, why", [
+    (math.nan, "must be finite and nonnegative"),
+    (math.inf, "must be finite and nonnegative"),
+    # finite, but 2 w^2 lam is past the largest double
+    (1e308, "overflows the contact polynomial"),
+])
+def test_root_locus_rejects_a_stiffness_it_cannot_solve(params, lam, why):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"lambda gridpoint {lam!r} {why}")):
+            root_locus(params.omega, [0.0, 10.0, lam, 20.0])
+
+
+def _roots_loop(omega, lam):
+    """Sorted roots and flags of the contact polynomial, one np.roots per lambda."""
+    roots = np.empty((len(lam), 4), dtype=complex)
+    flags = np.zeros(len(lam), dtype=bool)
+    for i, lv in enumerate(lam):
+        r = np.roots([1.0, 0.0, lv, 2.0 * omega * lv, 2.0 * omega * omega * lv]) - omega
+        roots[i] = r[np.lexsort((-r.imag, r.real))]
+        flags[i] = bool(np.any(np.abs(r.imag) > 1e-8 * max(1.0, float(np.max(np.abs(r))))))
+    return roots, flags
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(0.0, 1e300), min_size=0, max_size=12), st.integers(0, 12),
+       st.floats(0.1, 100.0))
+def test_root_locus_matches_a_roots_loop_bit_for_bit(lams, zero_at, omega):
+    lam = np.array(lams[:zero_at] + [0.0] + lams[zero_at:])
+    res = root_locus(omega, lam)
+    roots, flags = _roots_loop(omega, lam)
+    assert res.roots.dtype == roots.dtype and res.roots.tobytes() == roots.tobytes()
+    assert np.array_equal(res.has_conjugate_pair, flags)
+
+
+def test_polynomial_roots_of_a_stack_match_each_row(params):
+    stack = np.array([contact_polynomial(params.omega, lv) for lv in (0.5, 50.0, 1e4)])
+    got = polynomial_roots(stack)
+    for row, coeffs in zip(got, stack):
+        assert row.tobytes() == np.roots(coeffs).tobytes()
+    with pytest.raises(ValueError):
+        polynomial_roots(np.array([[0.0, 1.0, 2.0]]))
+    with pytest.raises(ValueError):
+        polynomial_roots(np.ones((2, 1)))
+
+
 def test_root_locus_csv_rows(params):
     res = root_locus(params.omega, [0.0, 10.0])
     rows = list(res.csv_rows())
@@ -341,6 +389,35 @@ def test_l1_norm_does_not_depend_on_the_block_length(model, piece):
             block = _block_steps(system, steps)
             assert block == 1 if budget == 1 else 1 < block < steps and steps % block
             assert l1_norm(*system) == pytest.approx(default, rel=1e-12)
+
+
+@st.composite
+def _stable_systems(draw):
+    """(A, B, C) with p, m in 1..4 and n <= 8: real modes and damped
+    rotations with decay rates in [1, 3], mixed by a random orthogonal basis."""
+    n, p, m = draw(st.integers(1, 8)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T = np.diag(-rng.uniform(1.0, 3.0, n))
+    for k in range(0, n - 1, 2):
+        if draw(st.booleans()):
+            w = rng.uniform(0.0, 20.0)
+            T[k, k + 1], T[k + 1, k] = w, -w
+            T[k + 1, k + 1] = T[k, k]
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return Q @ T @ Q.T, rng.standard_normal((n, m)), rng.standard_normal((p, n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_stable_systems(), st.integers(1, 9))
+def test_l1_norm_block_march_matches_sequential_march_on_random_systems(system, log_block):
+    A, B, C = system
+    steps, value = _sequential_l1_norm(A, B, C)
+    # the largest budget that still stops the doubling at 2^log_block steps
+    budget = 2 * 2**log_block * C.shape[0] * A.shape[0] * B.shape[1] - 1
+    with mock.patch.object(analysis, "_BLOCK_MADDS", budget):
+        block = _block_steps(system, steps)
+        assume(block < steps and steps % block)  # several blocks, the last partial
+        assert l1_norm(A, B, C) == pytest.approx(value, rel=1e-12)
 
 
 def test_reference_loop_pieces_are_strictly_stable(model):

@@ -2,6 +2,7 @@ import csv
 import math
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -1096,6 +1097,49 @@ def test_cli_rootlocus_writes_the_zero_row_once(tmp_path, lambda_min, points, ro
     lambdas = [float(row.split(",")[0]) for row in body]
     assert len(lambdas) == rows and lambdas[0] == 0.0 and lambdas.count(0.0) == 1
     assert lambdas == sorted(lambdas)
+
+
+def test_cli_rootlocus_rejects_a_stiffness_it_cannot_solve(tmp_path, capsys):
+    # 1e308 passes the grid's own checks, but 2 w^2 lambda overflows
+    cfgfile = tmp_path / "an.ini"
+    cfgfile.write_text("[rootlocus]\nlambda_min = 1.0\nlambda_max = 1e308\npoints = 3\n")
+    out = tmp_path / "an"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["analyze", "rootlocus", str(cfgfile), "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert '"error": "config"' in err and "lambda gridpoint 1e+308 overflows" in err
+    assert not out.exists()
+
+
+def test_cli_usage_error_leaves_the_next_command_unchanged(tmp_path, capsys):
+    # one parser serves every call in the process: an error or an override in
+    # one call must not reach the next
+    scen = tmp_path / "s.ini"
+    scen.write_text(SCENARIO_INI.replace("controller = l1ac", "controller = rrc")
+                    .replace("duration = 0.3", "duration = 0.05"))
+    assert main(["run", str(scen), "--out-dir", str(tmp_path / "a")]) == 0
+    assert main(["run", str(scen), "--ts", "nan", "--out-dir", str(tmp_path / "x")]) == 2
+    assert main(["run", str(scen), "--bogus"]) == 2
+    assert main(["analyze"]) == 2
+    assert main(["run", str(scen), "--ts", "0.002", "--out-dir", str(tmp_path / "c")]) == 0
+    assert main(["run", str(scen), "--out-dir", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    first, last = ((tmp_path / d / "cli_smoke.csv").read_bytes() for d in "ab")
+    assert first == last
+    assert (tmp_path / "c" / "cli_smoke.csv").read_bytes() != first
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_builds_its_parser_at_the_first_command_not_at_import():
+    src = str(Path(sea_l1ac.__file__).resolve().parents[1])
+    code = ("import sea_l1ac.cli as cli; before = cli.build_parser.cache_info().currsize; "
+            "cli.main(['analyze']); cli.main(['analyze']); info = cli.build_parser.cache_info(); "
+            "print(before, info.currsize, info.misses)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, cwd=src)
+    assert proc.stdout.split() == ["0", "1", "1"]
 
 
 def test_cli_rejects_a_scenario_name_that_leaves_the_output_directory(tmp_path, capsys):
