@@ -10,7 +10,6 @@ from .analysis import (
     UnstableSystemError,
     analytic_nominal_response,
     check_stability_condition,
-    contact_polynomial,
     hold_response,
     l1_norm,
     matrix_exponential,

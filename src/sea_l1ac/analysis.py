@@ -191,53 +191,30 @@ def observable_realization(numerators, den):
 # ---------------------------------------------------------------------------
 
 def polynomial_roots(coeffs) -> np.ndarray:
-    """Roots of a polynomial of degree at least 1, as companion-matrix
-    eigenvalues.
+    """Roots of polynomials of degree at least 1 with nonzero leading
+    coefficients, as companion-matrix eigenvalues.
 
-    A 1-D ``coeffs`` drops its leading zeros and goes to ``np.roots``, which
-    also returns exact zeros for trailing zero coefficients. A 2-D ``coeffs``
-    is a stack of same-degree rows with nonzero leading coefficients; their
-    companion matrices, built as ``np.roots`` builds them, go to one batched
-    ``np.linalg.eigvals``, so row k comes out as ``np.roots(coeffs[k])`` does
-    when its trailing coefficient is nonzero.
+    ``coeffs`` is one polynomial (1-D, roots 1-D) or a stack of same-degree
+    rows (2-D, row k's roots in row k). The companion matrices, built as
+    ``np.roots`` builds them, go to one batched ``np.linalg.eigvals``, so a
+    polynomial's roots come out as ``np.roots`` gives them when its trailing
+    coefficient is nonzero.
 
     An m-fold root comes back as a cluster of radius O(eps^(1/m)) about it;
     callers that know a repeated root write the polynomial about it instead.
     """
     c = np.asarray(coeffs, dtype=float)
-    if c.ndim < 2:
-        c = np.trim_zeros(np.atleast_1d(c), "f")
-        if len(c) < 2:
-            raise ValueError("polynomial degree must be at least 1")
-        return np.roots(c)
-    if c.ndim > 2 or c.shape[1] < 2:
-        raise ValueError("a stack of polynomials is 2-D, with degree at least 1")
-    if not np.all(c[:, 0]):
-        raise ValueError("every polynomial in a stack needs a nonzero leading coefficient")
-    degree = c.shape[1] - 1
-    companion = np.zeros((len(c), degree, degree))
+    if c.ndim not in (1, 2) or c.shape[-1] < 2:
+        raise ValueError("polynomials are 1-D or a 2-D stack, with degree at least 1")
+    rows = np.atleast_2d(c)
+    if not np.all(rows[:, 0]):
+        raise ValueError("every polynomial needs a nonzero leading coefficient")
+    degree = rows.shape[1] - 1
+    companion = np.zeros((len(rows), degree, degree))
     companion[:, 1:, :-1] = np.eye(degree - 1)
-    companion[:, 0, :] = -c[:, 1:] / c[:, :1]
-    return np.linalg.eigvals(companion)
-
-
-def contact_polynomial(omega: float, lam: float) -> np.ndarray:
-    """Closed-loop characteristic polynomial with contact-stiffness ratio lam.
-
-    Q(s) = s^4 + 4 w s^3 + (6 w^2 + lam) s^2 + (4 w^3 + 4 w lam) s
-         + (w^4 + 5 lam w^2),   lam = K_e / J_a.
-
-    It is (s + w)^4 + lam ((s + 2 w)^2 + w^2), so at lam = 0 it collapses
-    to (s + w)^4.
-    """
-    w = omega
-    return np.array([
-        1.0,
-        4.0 * w,
-        6.0 * w * w + lam,
-        4.0 * w ** 3 + 4.0 * w * lam,
-        w ** 4 + 5.0 * lam * w * w,
-    ])
+    companion[:, 0, :] = -rows[:, 1:] / rows[:, :1]
+    roots = np.linalg.eigvals(companion)
+    return roots if c.ndim == 2 else roots[0]
 
 
 @dataclass
@@ -263,7 +240,10 @@ class RootLocusResult:
 
 
 def root_locus(omega: float, lambda_grid) -> RootLocusResult:
-    """Roots of the contact characteristic polynomial over a lambda grid.
+    """Roots of the closed loop's characteristic polynomial against a wall
+    of contact-stiffness ratio lam = K_e / J_a, over a lambda grid:
+
+        Q(s) = (s + w)^4 + lam ((s + 2 w)^2 + w^2).
 
     The roots are solved about the nominal pole -w: in p = s + w the
     polynomial is p^4 + lam p^2 + 2 w lam p + 2 w^2 lam, whose four roots
@@ -371,29 +351,27 @@ def l1_norm(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
 def filtered_resolvent(
     model: NominalModel,
     input_columns: np.ndarray,
-    filter_num: np.ndarray,
-    filter_den: np.ndarray,
+    filters: tuple,
+    column: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, B, C) of the state output of (sI - A_m)^-1 [columns] with a scalar
-    filter on every input channel: one reference-loop transfer piece."""
+    """(A, B, C) of the state output of (sI - A_m)^-1 [columns] with the
+    scalar filter ``column`` of the realization ``filters`` (an
+    ``observable_realization``) on every input channel: one reference-loop
+    transfer piece."""
     cols = np.asarray(input_columns, dtype=float).reshape(len(model.A_m), -1)
-    Af, Bf, Cf, Df = observable_realization([filter_num], filter_den)
-    nf = Af.shape[0]
-    m = cols.shape[1]
-    n = model.A_m.shape[0]
+    Af, Bf, Cf, Df = filters
+    (n, m), nf = cols.shape, len(Af)
     # one filter replica per input, then the resolvent
     A = np.zeros((m * nf + n, m * nf + n))
     B = np.zeros((m * nf + n, m))
     for j in range(m):
         s = slice(j * nf, (j + 1) * nf)
         A[s, s] = Af
-        B[s.start:s.stop, j] = Bf[:, 0]
+        B[s, j] = Bf[:, column]
         A[m * nf:, s] += np.outer(cols[:, j], Cf[0])
     A[m * nf:, m * nf:] = model.A_m
-    B[m * nf:, :] = cols * Df[0, 0]
-    C = np.zeros((n, m * nf + n))
-    C[:, m * nf:] = np.eye(n)
-    return A, B, C
+    B[m * nf:, :] = cols * Df[0, column]
+    return A, B, np.hstack([np.zeros((n, m * nf)), np.eye(n)])
 
 
 def reference_loop_pieces(model: NominalModel, cfg: L1Config):
@@ -402,13 +380,14 @@ def reference_loop_pieces(model: NominalModel, cfg: L1Config):
     G_1 = (sI - A_m)^-1 B_m  (1 - C(s))   matched-disturbance path (reported only)
     G_2 = (sI - A_m)^-1 B_um (1 - C(s))   unmatched-disturbance path
     G_d = (sI - A_m)^-1 B_m  C(s)         command path
+
+    1 - C(s) and C(s) share one realization, as its columns 0 and 1.
     """
     num_c, den = shaping_filter_polynomials(cfg.T, cfg.K_a)
-    num_1mc = np.polysub(den, np.concatenate([np.zeros(len(den) - len(num_c)), num_c]))
-    g1 = filtered_resolvent(model, model.B_m, num_1mc, den)
-    g2 = filtered_resolvent(model, model.B_um, num_1mc, den)
-    gd = filtered_resolvent(model, model.B_m, num_c, den)
-    return g1, g2, gd
+    filters = observable_realization([np.polysub(den, num_c), num_c], den)
+    return (filtered_resolvent(model, model.B_m, filters, 0),
+            filtered_resolvent(model, model.B_um, filters, 0),
+            filtered_resolvent(model, model.B_m, filters, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -191,25 +191,23 @@ def build_filter_bank(model: NominalModel, cfg: L1Config):
     if np.max(polynomial_roots(den).real) >= 0.0:
         raise ValueError("closed low-pass filter C(s) is unstable for this (T, K_a)")
 
-    A_m, c = model.A_m, model.c
-    num_hm, den_hm = transfer_from_state_space(A_m, model.B_m, c)
-    num_m = np.trim_zeros(num_hm, "f")
+    nums, den_hm = transfer_from_state_space(model.A_m, model.b_stacked, model.c)
+    num_m = np.trim_zeros(nums[0], "f")
     if len(num_m) != 1:
         raise ValueError(
             "matched channel does not have full relative degree; the combined "
             "filter C(s) H_m^-1(s) H_um(s) cannot be realized over C's denominator"
         )
     # properness of C(s) H_m^-1(s): relative degree of den(C) against den(A_m)
-    if (len(den) - 1) < (len(den_hm) - 1):
+    if len(den) < len(den_hm):
         raise ValueError("C(s) H_m^-1(s) is improper for this filter order")
 
-    order = len(den) - 1
     numerators = [num_c]
-    for j in range(3):
-        num_umj = np.trim_zeros(transfer_from_state_space(A_m, model.B_um[:, j], c)[0], "f")
-        if len(num_umj) - 1 > order - 1:
+    for j, num_um in enumerate(nums[1:]):
+        num_um = np.trim_zeros(num_um, "f")
+        if len(num_um) >= len(den):
             raise ValueError(f"combined filter channel {j} is not strictly proper")
-        numerators.append(cfg.K_a * num_umj / num_m[0])
+        numerators.append(cfg.K_a * num_um / num_m[0])
     return observable_realization(numerators, den)
 
 

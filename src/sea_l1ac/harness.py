@@ -43,7 +43,15 @@ class SimulationDivergence(RuntimeError):
         self.partial_trace = partial_trace
 
 
+# A run raises SimulationDivergence once the Euclidean norm of the plant
+# state [q, q', theta, theta'] reaches this bound (so once any one state's
+# magnitude does) or stops being a number. The shipped scenarios peak at
+# |state| 6.7; an unstably sampled loop grows past any bound.
+STATE_BOUND = 1e6
+
 CONTROLLER_KINDS = ("rrc", "l1ac", "l1ac-nogc")
+_REAL_FIELDS = ("q_d_amplitude", "q_d_start", "mass", "duration", "contact_stiffness",
+                "contact_position", "T_s", "T", "K_a", "g_ob", "torque_limit")
 _KIND_ALIASES = {"l1ac-no-gravity-comp": "l1ac-nogc"}
 
 
@@ -81,6 +89,15 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _check_file_stem(self.name, "scenario")
+        # every real-valued field is kept as a float, so an integer value
+        # exports as the float its import reads back (mass=2 as 2.0)
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "torque_limit":
+                continue
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a real number, not {value!r}")
+            object.__setattr__(self, name, float(value))
         if not isinstance(self.controller, str):
             raise ConfigError(f"controller kind must be a str, not {self.controller!r}")
         kind = _KIND_ALIASES.get(self.controller.lower(), self.controller.lower())
@@ -225,7 +242,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
     The controller runs once per T_s; the plant (and the disturbance
     observer, which needs the fastest rate available) advance ``substeps``
     times per controller step. Raises SimulationDivergence with the partial
-    trace attached if the state stops being finite.
+    trace attached once the state's norm reaches ``STATE_BOUND`` or stops
+    being a number.
 
     With ``track_reference`` the loop records each step's state and the
     reference inputs; the reference system then runs once over them after
@@ -281,7 +299,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
     amplitude, switch_on = cfg.q_d_amplitude, cfg.q_d_start - 1e-12
     ideal_dob, tracking = cfg.ideal_dob, reference is not None
     gravity_gains = _link_gravity_gains(params, cfg.gravity_on)
-    control, isfinite = controller.step, math.isfinite
+    control, norm, bound = controller.step, math.hypot, STATE_BOUND
     rows, log = array("d"), array("d")  # trace rows; reference log, every step
     record_row, record_step = rows.extend, log.extend
     xtilde_max = 0.0
@@ -314,9 +332,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
             if dob is not None:
                 dob.advance(tau_m, x[3])
             x = _rk4_tuple(x, tau_m, h, params, env, gravity_gains)
-            if not all(map(isfinite, x)):
+            if not norm(*x) < bound:  # nan fails too
                 raise SimulationDivergence(
-                    f"state diverged at t={t:.4f} s in scenario {cfg.name!r}", finish(None)
+                    f"state diverged past |x| = {STATE_BOUND:g} at t={t:.4f} s "
+                    f"in scenario {cfg.name!r}", finish(None)
                 )
     return finish(x)
 

@@ -92,25 +92,27 @@ def build_nominal_model(params: PlantParams, gains: RrcGains) -> NominalModel:
 
 
 def transfer_from_state_space(A, B, c) -> tuple[np.ndarray, np.ndarray]:
-    """Exact polynomial form (num, den) of c (sI - A)^-1 B for a SISO
-    channel, descending powers of s, both of length n + 1.
+    """Exact polynomial form (num, den) of c (sI - A)^-1 B, descending powers
+    of s, each of length n + 1.
 
-    Uses the Faddeev-LeVerrier adjugate expansion, so numerator and
-    denominator come out of one finite recursion instead of a fit; the
-    denominator is the monic characteristic polynomial of A.
+    ``B`` is one input column, with a 1-D ``num``, or an (n, m) matrix of
+    columns, with one ``num`` row per column. Uses the Faddeev-LeVerrier
+    adjugate expansion, so numerators and denominator come out of one finite
+    recursion instead of a fit; the denominator is the monic characteristic
+    polynomial of A.
     """
     A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float).reshape(-1)
+    B = np.asarray(B, dtype=float)
     c = np.asarray(c, dtype=float).reshape(-1)
     n = A.shape[0]
-    if A.shape != (n, n) or B.shape != (n,) or c.shape != (n,):
+    if A.shape != (n, n) or B.ndim not in (1, 2) or len(B) != n or c.shape != (n,):
         raise ValueError("inconsistent state-space dimensions")
     den = np.zeros(n + 1)
     den[0] = 1.0
-    num = np.zeros(n + 1)
+    num = np.zeros(B.shape[1:] + (n + 1,))
     R = np.eye(n)
     for k in range(1, n + 1):
-        num[k] = float(c @ R @ B)  # coefficient of s^(n-k) in c adj(sI-A) B
+        num[..., k] = c @ R @ B  # coefficient of s^(n-k) in c adj(sI-A) B
         M = A @ R
         den[k] = -np.trace(M) / k
         R = M + den[k] * np.eye(n)

@@ -17,14 +17,19 @@ from sea_l1ac import (
     UnstableSystemError,
     analytic_nominal_response,
     check_stability_condition,
-    contact_polynomial,
     l1_norm,
     matrix_exponential,
     polynomial_roots,
     root_locus,
 )
 from sea_l1ac import analysis, build_nominal_model, build_rrc_gains
-from sea_l1ac.analysis import hold_response, reference_loop_pieces, shaping_filter_polynomials
+from sea_l1ac.analysis import (
+    filtered_resolvent,
+    hold_response,
+    observable_realization,
+    reference_loop_pieces,
+    shaping_filter_polynomials,
+)
 from sea_l1ac.config_io import condition_job_from_ini
 
 _CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -163,6 +168,24 @@ def test_roots_reject_degenerate_input():
         polynomial_roots([0.0, 0.0])
 
 
+# magnitudes in [1e-6, 1e6], so no ratio of coefficients overflows
+_nonzero = st.builds(math.copysign, st.floats(1e-6, 1e6), st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nonzero, st.lists(st.floats(-1e6, 1e6), max_size=7), _nonzero)
+def test_roots_of_one_polynomial_match_np_roots_bit_for_bit(lead, middle, trail):
+    # with nonzero leading and trailing coefficients np.roots neither trims
+    # nor appends, and builds the same companion matrix
+    coeffs = np.array([lead, *middle, trail])
+    got = polynomial_roots(coeffs)
+    ref = np.roots(coeffs)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+    with pytest.raises(ValueError, match="nonzero leading coefficient"):
+        polynomial_roots(np.concatenate([[0.0], coeffs]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5))
 def test_roots_reexpansion_residual(root_list):
@@ -170,6 +193,14 @@ def test_roots_reexpansion_residual(root_list):
     roots = polynomial_roots(coeffs)
     rebuilt = np.real_if_close(np.poly(roots)).real
     assert np.max(np.abs(rebuilt - coeffs)) <= 1e-8 * max(1.0, np.max(np.abs(coeffs)))
+
+
+def contact_polynomial(omega, lam):
+    """The oracle: the contact characteristic polynomial in s,
+    Q(s) = (s + w)^4 + lam ((s + 2 w)^2 + w^2), expanded."""
+    w = omega
+    return np.array([1.0, 4.0 * w, 6.0 * w * w + lam, 4.0 * w ** 3 + 4.0 * w * lam,
+                     w ** 4 + 5.0 * lam * w * w])
 
 
 def test_contact_polynomial_collapses_at_zero(params):
@@ -427,11 +458,43 @@ def test_reference_loop_pieces_are_strictly_stable(model):
 
 def test_disturbance_paths_vanish_with_perfect_cancellation(model):
     # the limit of an infinitely fast filter: 1 - C = 0, so G_1 = G_2 = 0
-    from sea_l1ac.analysis import filtered_resolvent
-
     _, den = shaping_filter_polynomials(0.01, 10.0)
-    g1_limit = filtered_resolvent(model, model.B_m, np.array([0.0]), den)
+    no_filter = observable_realization([np.array([0.0])], den)
+    g1_limit = filtered_resolvent(model, model.B_m, no_filter, 0)
     assert l1_norm(*g1_limit) == 0.0
+
+
+def _separately_realized_piece(model, input_columns, filter_num, filter_den):
+    """The oracle: one reference-loop piece over its own realization of the
+    filter, one replica per input column and then the resolvent."""
+    cols = np.asarray(input_columns, dtype=float).reshape(len(model.A_m), -1)
+    Af, Bf, Cf, Df = observable_realization([filter_num], filter_den)
+    nf, (n, m) = len(Af), cols.shape
+    A = np.zeros((m * nf + n, m * nf + n))
+    B = np.zeros((m * nf + n, m))
+    for j in range(m):
+        s = slice(j * nf, (j + 1) * nf)
+        A[s, s] = Af
+        B[s, j] = Bf[:, 0]
+        A[m * nf:, s] += np.outer(cols[:, j], Cf[0])
+    A[m * nf:, m * nf:] = model.A_m
+    B[m * nf:, :] = cols * Df[0, 0]
+    C = np.zeros((n, m * nf + n))
+    C[:, m * nf:] = np.eye(n)
+    return A, B, C
+
+
+@pytest.mark.parametrize("T, K_a", [(0.002, 1.0), (0.005, 10.0), (0.01, 10.0), (0.02, 40.0)])
+def test_reference_loop_pieces_match_separately_realized_pieces(model, T, K_a):
+    num_c, den = shaping_filter_polynomials(T, K_a)
+    num_1mc = np.polysub(den, num_c)
+    expected = [_separately_realized_piece(model, model.B_m, num_1mc, den),
+                _separately_realized_piece(model, model.B_um, num_1mc, den),
+                _separately_realized_piece(model, model.B_m, num_c, den)]
+    got = reference_loop_pieces(model, L1Config(T=T, K_a=K_a))
+    for piece, ref in zip(got, expected, strict=True):
+        for x, y in zip(piece, ref, strict=True):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 # ---------------------------------------------------------------------------

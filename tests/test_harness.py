@@ -21,6 +21,7 @@ from sea_l1ac import (
     RrcController,
     RunTrace,
     ScenarioConfig,
+    SimulationDivergence,
     StabilityBudget,
     SuiteConfig,
     analytic_nominal_response,
@@ -36,7 +37,7 @@ from sea_l1ac import (
     summary_table,
 )
 from sea_l1ac.cli import main
-from sea_l1ac.harness import TRACE_COLUMNS, _rise_delay
+from sea_l1ac.harness import STATE_BOUND, TRACE_COLUMNS, _rise_delay
 from sea_l1ac.traceio import _meta_line
 
 
@@ -283,6 +284,73 @@ def test_export_writes_the_repr_of_every_cell(tmp_path_factory, data):
     )
     assert p1.read_bytes() == expected.encode("utf-8")
     assert export_trace(import_trace(p1), out / "b.csv").read_bytes() == p1.read_bytes()
+
+
+def _assert_columns_bit_identical(a, b):
+    """Every column holds the same doubles, -0.0 included; nan matches nan."""
+    for name in TRACE_COLUMNS:
+        x, y = np.asarray(a[name], dtype=float), np.asarray(b[name], dtype=float)
+        assert x.shape == y.shape and np.array_equal(np.isnan(x), np.isnan(y))
+        assert x[~np.isnan(x)].tobytes() == y[~np.isnan(y)].tobytes()
+
+
+_EXTREME_CELLS = (-0.0, 5e-324, -2.2250738585072e-310, 1.7976931348623157e308,
+                  -1.7976931348623157e308, math.nan, math.inf, -math.inf)
+_META_TEXT = st.text(st.characters(codec="utf-8") | st.sampled_from(" =#%é→日"), max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_round_trip_exact_for_every_valid_trace(tmp_path_factory, data):
+    # export -> import -> export is byte-identical and the columns come back
+    # bit for bit, for any doubles and any text in the text-valued keys
+    if data is None:  # the deterministic case: every extreme cell in every column
+        columns = {name: np.array(_EXTREME_CELLS) for name in TRACE_COLUMNS}
+        meta = {"name": "a b=c#d%e é→日", "controller": "%20", "mass": -0.0,
+                "omega": 5e-324, "q_d_amplitude": math.nan, "K_t": -math.inf}
+    else:
+        rows = data.draw(st.integers(0, 5))
+        cell = st.sampled_from(_EXTREME_CELLS) | st.floats()
+        columns = {name: np.array(data.draw(st.lists(cell, min_size=rows, max_size=rows)),
+                                  dtype=float) for name in TRACE_COLUMNS}
+        meta = {"name": data.draw(_META_TEXT), "controller": data.draw(_META_TEXT)}
+        for key in ("q_d_amplitude", "mass", "contact_position"):
+            meta[key] = data.draw(cell)
+    out = tmp_path_factory.mktemp("trips")
+    p1 = export_trace(RunTrace(columns=columns, meta=meta), out / "a.csv")
+    back = import_trace(p1)
+    assert export_trace(back, out / "b.csv").read_bytes() == p1.read_bytes()
+    _assert_columns_bit_identical(columns, back)
+    assert list(back.meta) == list(meta)
+    for key, value in meta.items():
+        if isinstance(value, str):
+            assert back.meta[key] == value
+        else:
+            assert repr(back.meta[key]) == repr(value)
+
+
+@settings(max_examples=20, deadline=None)
+@given(mass=st.integers(0, 4), amplitude=st.integers(-2, 2), start=st.integers(0, 1),
+       contact_stiffness=st.integers(0, 500), contact_position=st.integers(-1, 1))
+@example(mass=2, amplitude=1, start=0, contact_stiffness=0, contact_position=0)
+def test_round_trip_exact_for_an_integer_valued_config(tmp_path_factory, mass, amplitude, start,
+                                                        contact_stiffness, contact_position):
+    # integer values are stored as floats, so the first export already
+    # writes mass=2.0, as the import reads it back
+    cfg = ScenarioConfig(name="intmass", controller="rrc", mass=mass, duration=0.01,
+                         q_d_amplitude=amplitude, q_d_start=start,
+                         contact_stiffness=contact_stiffness, contact_position=contact_position)
+    assert all(type(getattr(cfg, f)) is float for f in ("mass", "duration", "q_d_amplitude",
+                                                          "q_d_start", "contact_stiffness"))
+    assert cfg.torque_limit is None
+    out = tmp_path_factory.mktemp("ints")
+    trace = run_scenario(cfg)
+    p1 = export_trace(trace, out / "a.csv")
+    assert f" mass={float(mass)!r} " in p1.read_text(encoding="utf-8").splitlines()[0]
+    back = import_trace(p1)
+    assert export_trace(back, out / "b.csv").read_bytes() == p1.read_bytes()
+    _assert_columns_bit_identical(trace, back)
 
 
 def test_export_header_lists_exact_columns(tmp_path):
@@ -597,11 +665,7 @@ def test_baseline_static_error_grows_with_load_mismatch():
 # divergence reporting
 # ---------------------------------------------------------------------------
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_divergence_carries_partial_trace():
-    from sea_l1ac import SimulationDivergence
-
     # an unstably discretized observer (g_ob * h = 4) blows the loop up
     cfg = _quick(name="diverge", duration=6.0, T_s=8e-3, substeps=1,
                  g_ob=500.0)
@@ -612,11 +676,7 @@ def test_divergence_carries_partial_trace():
     assert "ref_err_max" not in partial.aux
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_divergence_keeps_the_reference_error_of_the_steps_done():
-    from sea_l1ac import SimulationDivergence
-
     cfg = _quick(name="diverge", duration=6.0, T_s=8e-3, substeps=1, g_ob=500.0,
                  track_reference=True)
     with pytest.raises(SimulationDivergence) as exc_info:
@@ -625,13 +685,13 @@ def test_divergence_keeps_the_reference_error_of_the_steps_done():
     assert len(partial) > 1
     assert set(partial.aux) == {"xtilde_max", "ref_err_max"}
     # the maximum over the steps that completed: a run of exactly those steps
-    # gives it, so the diverged step is left out (the states near overflow
-    # make it inf here; a few steps earlier it is still finite)
+    # gives it, so the diverged step, whose state is past the bound, is left
+    # out; a few steps earlier the error has already grown to the bound's scale
     def ref_err(steps):
         return run_scenario(cfg.with_overrides(duration=steps * cfg.T_s)).aux["ref_err_max"]
 
     assert partial.aux["ref_err_max"] == ref_err(len(partial) - 1)
-    assert partial.aux["ref_err_max"] >= ref_err(len(partial) - 3) > 1e100
+    assert partial.aux["ref_err_max"] >= ref_err(len(partial) - 3) > 1e-3 * STATE_BOUND
 
 
 # ---------------------------------------------------------------------------
@@ -947,8 +1007,6 @@ def test_cli_loads_scipy_only_to_build_the_adaptive_controller(tmp_path, case, l
         assert loaded == "[]"
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("command", ["run", "suite"])
 def test_cli_run_exports_partial_trace_on_divergence(tmp_path, capsys, command):
     scen = tmp_path / "d.ini"
@@ -966,6 +1024,33 @@ def test_cli_run_exports_partial_trace_on_divergence(tmp_path, capsys, command):
     assert (out / "diverge_partial.csv").exists()
     assert not (out / "diverge.csv").exists()
     assert '"error": "numeric"' in capsys.readouterr().err
+
+
+def test_divergence_stops_the_run_at_the_state_bound():
+    # the baseline at T_s = 5 ms: the sampled observer loop is unstable, and
+    # the run stops in the substep where the state's norm reaches the bound,
+    # long before it would overflow
+    cfg = _quick(name="bounded", controller="rrc", duration=3.0, T_s=5e-3)
+    with pytest.raises(SimulationDivergence, match="past") as exc_info:
+        run_scenario(cfg)
+    partial = exc_info.value.partial_trace
+    states = np.column_stack([partial[c] for c in TRACE_COLUMNS[1:5]])
+    assert np.all(np.hypot.reduce(states, axis=1) < STATE_BOUND)
+    assert len(partial) < 3.0 / 5e-3
+    # a run that ends before it reaches the bound completes
+    assert len(run_scenario(cfg.with_overrides(duration=(len(partial) - 1) * 5e-3))) > 0
+
+
+def test_cli_run_past_the_state_bound_exits_3_with_a_partial_trace(capsys, tmp_path):
+    # a state bounded only by overflow used to finish as a normal run, exit 0
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "load_step_rrc_m1500.ini"
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--ts", "0.005", "--out-dir", str(out)]) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["load_step_rrc_m1500_partial.csv"]
+    err = capsys.readouterr().err
+    assert '"error": "numeric"' in err and "past |x| = 1e+06" in err
+    back = import_trace(out / "load_step_rrc_m1500_partial.csv")
+    assert 0.0 < back["t_s"][-1] < 0.2
 
 
 def test_cli_rejects_a_scenario_that_runs_no_step(tmp_path, capsys):

@@ -131,3 +131,26 @@ def test_model_rejects_degenerate_feedback(params):
     no_feedback = RrcGains(K_p=0.0, K_r=0.0, K_v=0.0, K=np.zeros(4))
     with pytest.raises(ValueError):
         build_nominal_model(params, no_feedback)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_transfer_of_a_column_matrix_matches_each_column(model, seed):
+    # unit input columns, as [B_m B_um] is: every product is exact, so one
+    # pass over the matrix gives each column's numerator bit for bit
+    rng = np.random.default_rng(seed)
+    systems = [(model.A_m, model.b_stacked),
+               (rng.standard_normal((5, 5)), np.eye(5)[:, rng.permutation(5)[:3]])]
+    for A, B in systems:
+        c = rng.standard_normal(len(A)) if A is not model.A_m else model.c
+        nums, den = transfer_from_state_space(A, B, c)
+        assert nums.shape == (B.shape[1], len(A) + 1)
+        for j in range(B.shape[1]):
+            num_j, den_j = transfer_from_state_space(A, B[:, j], c)
+            assert num_j.shape == (len(A) + 1,)
+            assert nums[j].tobytes() == num_j.tobytes() and den.tobytes() == den_j.tobytes()
+
+
+def test_transfer_rejects_inconsistent_dimensions(model):
+    for B in (np.ones(3), np.ones((3, 2)), np.ones((4, 1, 1))):
+        with pytest.raises(ValueError):
+            transfer_from_state_space(model.A_m, B, model.c)
