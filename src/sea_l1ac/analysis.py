@@ -30,63 +30,38 @@ class UnstableSystemError(ValueError):
 
 
 # Al-Mohy & Higham, "A new scaling and squaring algorithm for the matrix
-# exponential", SIAM J. Matrix Anal. Appl. 31(3), 2009. Per Pade degree m:
-# theta_m, the largest 1-norm at which the [m/m] approximant is accurate to
-# unit roundoff (their Table 3.1); 1/|c_{2m+1}|, the reciprocal of the leading
-# coefficient of its backward-error series (their eq. 5.1); and the
-# coefficients b_0..b_m of the approximant.
-_PADE = {
-    3: (1.495585217958292e-2, 100800.0, (120.0, 60.0, 12.0, 1.0)),
-    5: (2.539398330063230e-1, 10059033600.0,
-        (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    7: (9.504178996162932e-1, 4487938430976000.0,
-        (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
-    9: (2.097847961257068, 5914384781877411840000.0,
-        (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-         2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
-    13: (4.25, 113250775606021113483283660800000000.0,
-         (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-          1187353796428800.0, 129060195264000.0, 10559470521600.0,
-          670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-          16380.0, 182.0, 1.0)),
-}
+# exponential", SIAM J. Matrix Anal. Appl. 31(3), 2009, for the [13/13] Pade
+# approximant: theta_13, the largest 1-norm at which it is accurate to unit
+# roundoff (their Table 3.1); 1/|c_27|, the reciprocal of the leading
+# coefficient of its backward-error series (their eq. 5.1); and its
+# coefficients b_0..b_13 over b_0, so that b_0 = 1 and e^0 is exactly I.
+_THETA_13 = 4.25
+_INV_C27 = 113250775606021113483283660800000000.0
+_PADE_13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0))
 
 
 def _onenorm(X: np.ndarray) -> float:
     return float(np.abs(X).sum(axis=0).max())
 
 
-def _extra_squarings(A: np.ndarray, m: int) -> int:
-    """Squarings to add so the degree-m approximant of A stays within unit
-    roundoff in relative backward error (Al-Mohy & Higham's ell_m), from the
-    exact 1-norm of abs(A)^(2m+1)."""
-    power_norm = _onenorm(np.linalg.matrix_power(np.abs(A), 2 * m + 1))
-    if not power_norm:
-        return 0
-    alpha = power_norm / (_onenorm(A) * _PADE[m][1])
-    return max(math.ceil(math.log2(alpha / 2.0**-53) / (2 * m)), 0)
-
-
-def _pade_solve(A: np.ndarray, evens: list, m: int) -> np.ndarray:
-    """The [m/m] Pade approximant of e^A from the even powers [I, A^2, ...]."""
-    b = _PADE[m][2]
-    U = A @ sum(b[k + 1] * evens[k // 2] for k in range(0, m, 2))
-    V = sum(b[k] * evens[k // 2] for k in range(0, m + 1, 2))
-    return np.linalg.solve(V - U, V + U)
-
-
 def matrix_exponential(A: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """e^{A t} by scaling and squaring with a [m/m] Pade approximant, the
-    algorithm of Al-Mohy & Higham (2009) that ``scipy.linalg.expm`` runs.
+    """e^{A t} by scaling and squaring with the [13/13] Pade approximant: the
+    degree-13 branch of the algorithm of Al-Mohy & Higham (2009) that
+    ``scipy.linalg.expm`` runs.
 
-    The degree m in {3, 5, 7, 9, 13} and the number of squarings s come from
-    exact 1-norms of powers of A t, ||(A t)^k||^(1/k), which bound the
-    approximant's backward error far more tightly than ||A t|| does on the
-    canonical-form realizations the design condition exponentiates: at
-    l1_norm's step their 1-norms reach about 4e3 while no eigenvalue exceeds
-    0.01 in modulus. The cost is a few products of n x n matrices, cheap for
-    the n <= 16 here. Numpy only: the L1 norms, and so ``analyze condition``,
-    never load scipy. Raises ValueError for non-finite entries.
+    The number of squarings s comes from exact 1-norms of powers of A t,
+    ||(A t)^k||^(1/k), which bound the approximant's backward error far more
+    tightly than ||A t|| does on the canonical-form realizations the design
+    condition exponentiates: at l1_norm's step their 1-norms reach about 4e3
+    while no eigenvalue exceeds 0.01 in modulus. Degree 13 is the only one
+    kept: the algorithm's degrees 3 to 9 are no more accurate where they
+    apply, and there they save only a few products of the n <= 16 matrices
+    here, tens of microseconds a call. Numpy only: the L1 norms, and so
+    ``analyze condition``, never load scipy. Raises ValueError for
+    non-finite entries.
     """
     A = np.asarray(A, dtype=float) * t
     if not np.all(np.isfinite(A)):
@@ -94,27 +69,19 @@ def matrix_exponential(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     A2 = A @ A
     A4 = A2 @ A2
     A6 = A4 @ A2
-    evens = [np.eye(len(A)), A2, A4, A6]
-    d4, d6 = _onenorm(A4) ** 0.25, _onenorm(A6) ** (1 / 6)
-    eta = max(d4, d6)
-    for m in (3, 5):
-        if eta < _PADE[m][0] and _extra_squarings(A, m) == 0:
-            return _pade_solve(A, evens, m)
-    evens.append(A4 @ A4)
-    d8 = _onenorm(evens[4]) ** 0.125
-    eta = max(d6, d8)
-    for m in (7, 9):
-        if eta < _PADE[m][0] and _extra_squarings(A, m) == 0:
-            return _pade_solve(A, evens, m)
-    d10 = _onenorm(A4 @ A6) ** 0.1
-    eta = min(eta, max(d8, d10))
-    s = max(math.ceil(math.log2(eta / _PADE[13][0])), 0) if eta > 0.0 else 0
-    s += _extra_squarings(A * 2.0**-s, 13)
-    # degree 13 splits as U = B [B^6 (b13 B^6 + b11 B^4 + b9 B^2) + ...],
-    # so it costs three products beyond the powers
-    b = _PADE[13][2]
+    d6, d8, d10 = (_onenorm(X) ** (1 / k) for X, k in ((A6, 6), (A4 @ A4, 8), (A4 @ A6, 10)))
+    eta = min(max(d6, d8), max(d8, d10))
+    s = max(math.ceil(math.log2(eta / _THETA_13)), 0) if eta > 0.0 else 0
+    # extra squarings if ||abs(B)^27||_1 puts the backward error above unit roundoff
+    B = A * 2.0**-s
+    power_norm = _onenorm(np.linalg.matrix_power(np.abs(B), 27))
+    if power_norm:
+        alpha = power_norm / (_onenorm(B) * _INV_C27)
+        s += max(math.ceil(math.log2(alpha / 2.0**-53) / 26), 0)
+    # U = B [B^6 (b13 B^6 + b11 B^4 + b9 B^2) + ...]: three products beyond the powers
+    b = _PADE_13
     B, B2, B4, B6 = (X * 2.0 ** (-k * s) for X, k in ((A, 1), (A2, 2), (A4, 4), (A6, 6)))
-    ident = evens[0]
+    ident = np.eye(len(A))
     U = B @ (B6 @ (b[13] * B6 + b[11] * B4 + b[9] * B2)
              + b[7] * B6 + b[5] * B4 + b[3] * B2 + b[1] * ident)
     V = (B6 @ (b[12] * B6 + b[10] * B4 + b[8] * B2)
@@ -130,15 +97,15 @@ def hold_response(A: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     Phi = A^-1 (E - I), the integral of e^{A s} over [0, t].
 
     E comes from ``scipy.linalg.expm``, the package's one scipy call, and not
-    from ``matrix_exponential``: on A_m the two agree to within 3e-16 of the
+    from ``matrix_exponential``: on A_m the two agree to within 5e-16 of the
     largest entry but not bit for bit, and the benchmark pins the suite CSVs,
     which every controller's hold pair feeds, byte for byte to scipy's
-    rounding. The scipy-free runtime item of ROADMAP.md replaces this call
-    with a closed form once the benchmark gates those files by value. scipy
-    is imported here, at the first hold pair, not with the module: loading it
-    costs about 0.3 s, and commands that build no adaptive controller never
-    pay it. Python's import lock makes a first call from concurrent workers
-    safe. Raises ValueError for non-finite entries.
+    rounding; ROADMAP.md's scipy-free runtime item makes it
+    ``matrix_exponential`` once the benchmark gates those files by value.
+    scipy is imported here, at the first hold pair, not with the module:
+    loading it costs about 0.3 s, and commands that build no adaptive
+    controller never pay it. Python's import lock makes a first call from
+    concurrent workers safe. Raises ValueError for non-finite entries.
     """
     import scipy.linalg
 
@@ -156,6 +123,18 @@ def shaping_filter_polynomials(T: float, K_a: float) -> tuple[np.ndarray, np.nda
     den = np.polymul(den, np.array([1.0, 0.0]))
     den = np.polyadd(den, np.array([K_a]))
     return np.array([K_a]), den
+
+
+def shaping_filter_stable(T: float, K_a: float) -> bool:
+    """Whether C(s) = K_a / (s (T s + 1)^3 + K_a) is strictly stable, for
+    T > 0 and K_a > 0: exactly when K_a T < 8/9.
+
+    The Routh array of its denominator T^3 s^4 + 3 T^2 s^3 + 3 T s^2 + s + K_a
+    has first column T^3, 3 T^2, 8 T / 3, 1 - 9 K_a T / 8, K_a. Only the
+    fourth entry can be nonpositive, and it is positive exactly when
+    K_a T < 8/9; at equality a pair of roots sits on the imaginary axis.
+    """
+    return K_a * T < 8 / 9
 
 
 def observable_realization(numerators, den):
@@ -474,11 +453,10 @@ def check_stability_condition(
     lhs L_2 < 1, with lhs = ||G_2||. ``rho_best`` is then the least
     certified bound (c + lhs B_2) / (1 - lhs L_2), every larger rho_r being
     certified (infinite when violated), ``rhs_best`` is the supremum 1/L_2,
-    and ``margin`` is rhs_best - lhs. An unstable closed filter C(s) makes
+    and ``margin`` is rhs_best - lhs. An unstable C(s), K_a T >= 8/9, makes
     the norms infinite; that is reported as violated, not raised.
     """
-    _, den = shaping_filter_polynomials(cfg.T, cfg.K_a)
-    if np.max(polynomial_roots(den).real) >= 0.0:
+    if not shaping_filter_stable(cfg.T, cfg.K_a):
         return ConditionReport(
             satisfied=False, margin=-math.inf, lhs=math.inf, rhs_best=0.0,
             rho_best=math.nan, norm_g1=math.inf, norm_g2=math.inf,

@@ -47,8 +47,8 @@ from numpy.linalg import solve
 from .analysis import (
     hold_response,
     observable_realization,
-    polynomial_roots,
     shaping_filter_polynomials,
+    shaping_filter_stable,
 )
 from .nominal import NominalModel, RrcGains, transfer_from_state_space
 from .params import PlantParams
@@ -187,9 +187,9 @@ def build_filter_bank(model: NominalModel, cfg: L1Config):
     so a small but real leading coefficient is kept. Raises ValueError when
     a channel would be improper or the closed filter is unstable.
     """
-    num_c, den = shaping_filter_polynomials(cfg.T, cfg.K_a)
-    if np.max(polynomial_roots(den).real) >= 0.0:
+    if not shaping_filter_stable(cfg.T, cfg.K_a):
         raise ValueError("closed low-pass filter C(s) is unstable for this (T, K_a)")
+    num_c, den = shaping_filter_polynomials(cfg.T, cfg.K_a)
 
     nums, den_hm = transfer_from_state_space(model.A_m, model.b_stacked, model.c)
     num_m = np.trim_zeros(nums[0], "f")
@@ -202,12 +202,9 @@ def build_filter_bank(model: NominalModel, cfg: L1Config):
     if len(den) < len(den_hm):
         raise ValueError("C(s) H_m^-1(s) is improper for this filter order")
 
-    numerators = [num_c]
-    for j, num_um in enumerate(nums[1:]):
-        num_um = np.trim_zeros(num_um, "f")
-        if len(num_um) >= len(den):
-            raise ValueError(f"combined filter channel {j} is not strictly proper")
-        numerators.append(cfg.K_a * num_um / num_m[0])
+    # strictly proper: a trimmed numerator has at most n coefficients, len(den) > n
+    numerators = [num_c] + [cfg.K_a * np.trim_zeros(num_um, "f") / num_m[0]
+                            for num_um in nums[1:]]
     return observable_realization(numerators, den)
 
 

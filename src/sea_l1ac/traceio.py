@@ -4,8 +4,10 @@ The first line carries ``# key=value`` pairs needed to interpret the trace,
 the second line is the fixed column header, every following line is one
 sample. Floats are written with shortest round-trip representation, and text
 values are percent-encoded wherever they hold a space, ``=``, ``#``, ``%``
-or a character that is not printable ASCII, so export -> import -> export is
-byte-identical for every text value.
+or a character that is not printable ASCII. Outside the text keys, a value
+whose text reads as a number (an int, ``"1_0"``, ``" 7"``) is written as the
+float the import reads back, so export -> import -> export is byte-identical
+for every metadata value.
 """
 
 from __future__ import annotations
@@ -32,8 +34,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _meta_text(key: str, value) -> str:
+    text = _fmt(value)
+    if key not in _TEXT_KEYS:
+        try:
+            text = repr(float(text))
+        except ValueError:
+            pass
+    return text
+
+
 def _meta_line(meta: dict) -> str:
-    return "# " + " ".join(f"{k}={quote(_fmt(v), safe=_META_SAFE)}" for k, v in meta.items())
+    return "# " + " ".join(f"{k}={quote(_meta_text(k, v), safe=_META_SAFE)}"
+                           for k, v in meta.items())
 
 
 def _parse_meta_line(line: str) -> dict:

@@ -29,6 +29,7 @@ from sea_l1ac.analysis import (
     observable_realization,
     reference_loop_pieces,
     shaping_filter_polynomials,
+    shaping_filter_stable,
 )
 from sea_l1ac.config_io import condition_job_from_ini
 
@@ -525,6 +526,44 @@ def test_condition_violated_for_sluggish_filter(model, params):
     rep = check_stability_condition(model, L1Config(T=1.0, K_a=10.0), budget)
     assert not rep.satisfied
     assert rep.reason == "closed filter C(s) unstable"
+
+
+@settings(max_examples=300, deadline=None)
+@given(T=st.floats(1e-4, 10.0), ratio=st.floats(1e-3, 10.0))
+def test_closed_form_filter_stability_matches_the_roots(T, ratio):
+    # ratio is K_a T over the Routh boundary 8/9; the companion roots decide
+    # the sign of a root's real part only away from the imaginary axis
+    assume(abs(ratio - 1.0) > 1e-9)
+    K_a = ratio * (8 / 9) / T
+    _, den = shaping_filter_polynomials(T, K_a)
+    assert shaping_filter_stable(T, K_a) == (np.max(polynomial_roots(den).real) < 0.0)
+
+
+_EDGE = 8 / 9
+
+
+@pytest.mark.parametrize("T", [2.0**-5, 2.0**-2])  # so K_a T is exactly the product below
+@pytest.mark.parametrize("product", [0.5 * _EDGE, 0.9 * _EDGE, math.nextafter(_EDGE, 0.0), _EDGE,
+                                     math.nextafter(_EDGE, 1.0), 1.1 * _EDGE, 2.0 * _EDGE])
+def test_controller_and_condition_share_the_filter_stability_boundary(params, gains, model,
+                                                                      T, product):
+    cfg = L1Config(T=T, K_a=product / T)
+    assert cfg.K_a * T == product
+    try:
+        rep = check_stability_condition(model, cfg, StabilityBudget())
+    except ValueError as exc:
+        # one ulp inside the boundary the filter is stable but so lightly
+        # damped that the norms refuse to march it
+        assert "too stiff" in str(exc) and product < _EDGE
+        reported_unstable = False
+    else:
+        reported_unstable = rep.reason == "closed filter C(s) unstable"
+    assert reported_unstable == (product >= _EDGE)
+    if reported_unstable:
+        with pytest.raises(ValueError, match="unstable"):
+            L1Controller(params, gains, model, cfg)
+    else:
+        L1Controller(params, gains, model, cfg)
 
 
 _TUNINGS = [(0.01, 10.0), (0.005, 40.0), (0.02, 10.0)]

@@ -330,6 +330,25 @@ def test_round_trip_exact_for_every_valid_trace(tmp_path_factory, data):
             assert repr(back.meta[key]) == repr(value)
 
 
+_NUMBER_TEXT = st.from_regex(
+    r"\s?[+-]?([0-9](_?[0-9])*(\.[0-9]*)?([eE][+-]?[0-9]{1,3})?|nan|inf|Infinity)\s?",
+    fullmatch=True) | st.floats().map(str)
+
+
+@settings(max_examples=100, deadline=None)
+@given(meta=st.dictionaries(st.sampled_from(("K_t", "note", "mass", "tag")),
+                            st.integers(-10**20, 10**20) | st.booleans() | _NUMBER_TEXT
+                            | _META_TEXT, max_size=4))
+@example(meta={"K_t": 2, "note": "1_0", "tag": " 7", "mass": True})
+def test_round_trip_exact_for_any_metadata_value(tmp_path_factory, meta):
+    # outside name and controller the import reads number-like text as a
+    # float, so the export must already write that float: K_t=2.0, note=10.0
+    columns = {name: np.zeros(1) for name in TRACE_COLUMNS}
+    out = tmp_path_factory.mktemp("meta")
+    p1 = export_trace(RunTrace(columns=columns, meta={"name": "m", **meta}), out / "a.csv")
+    assert export_trace(import_trace(p1), out / "b.csv").read_bytes() == p1.read_bytes()
+
+
 @settings(max_examples=20, deadline=None)
 @given(mass=st.integers(0, 4), amplitude=st.integers(-2, 2), start=st.integers(0, 1),
        contact_stiffness=st.integers(0, 500), contact_position=st.integers(-1, 1))
