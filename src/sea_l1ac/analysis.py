@@ -410,6 +410,8 @@ class StabilityBudget:
         for m in masses:
             if not 0.0 <= m < math.inf:  # nan fails too
                 raise ValueError(f"test mass {m!r} must be nonnegative and finite")
+        if not isinstance(gravity_comp, bool):
+            raise ValueError(f"gravity_comp must be a bool, not {gravity_comp!r}")
         if gravity_comp:
             worst = max(abs(m - params.m_0) for m in masses)
         else:
@@ -456,6 +458,8 @@ def check_stability_condition(
     and ``margin`` is rhs_best - lhs. An unstable C(s), K_a T >= 8/9, makes
     the norms infinite; that is reported as violated, not raised.
     """
+    if not -math.inf < qd_peak < math.inf:  # nan fails too
+        raise ValueError(f"qd_peak must be finite, not {qd_peak!r}")
     if not shaping_filter_stable(cfg.T, cfg.K_a):
         return ConditionReport(
             satisfied=False, margin=-math.inf, lhs=math.inf, rhs_best=0.0,

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands:
-    run       execute one scenario file, write trace CSV + plot script
+    run       execute one scenario file, write trace CSV + plot script, print metrics
     suite     execute a suite manifest, write per-scenario traces + summary
     analyze   rootlocus or design-condition tables
     metrics   recompute metrics from an exported trace
@@ -122,7 +122,7 @@ def _cmd_run(args) -> int:
     if not result.ok:
         raise result.errors[cfg.name]
     print(f"trace: {out_dir / f'{cfg.name}.csv'}")
-    print(f"metrics: {result.metrics[cfg.name]}")
+    print(json.dumps(asdict(result.metrics[cfg.name])))
     return 0
 
 

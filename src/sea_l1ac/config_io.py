@@ -27,19 +27,23 @@ def finite_float(raw) -> float:
 
 
 class _Ini:
-    """A parsed INI file that remembers which keys its loader asked for.
+    """A parsed INI file that must hold ``section``, and that remembers which
+    keys its loader asked for.
 
     ``check_unknown`` then rejects any other key in a section the loader
     read, so a misspelt key fails instead of silently keeping its default.
     Sections the loader never reads are left alone: one file may hold the
-    jobs of several loaders.
+    jobs of several loaders. Every ConfigError raised here starts with the
+    file's path.
     """
 
-    def __init__(self, path: Path):
-        self.path = path
+    def __init__(self, path, section: str):
+        self.path = path = Path(path)
         self.parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         if not self.parser.read(path):
-            raise ConfigError(f"config file not found: {path}")
+            raise ConfigError(f"{path}: config file not found")
+        if not self.parser.has_section(section):
+            raise ConfigError(f"{path}: missing [{section}] section")
         self.asked: dict[str, set] = {}
 
     def get(self, section, key, conv, default):
@@ -66,13 +70,20 @@ class _Ini:
                 if key not in known and key not in defaults:
                     raise ConfigError(f"{self.path}: unknown key {key!r} in [{section}]")
 
+    def make(self, cls, **fields):
+        """``cls(**fields)``, its ValueError raised as a ConfigError naming the file."""
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            raise ConfigError(f"{self.path}: {exc}") from exc
+
 
 def _plant_overrides(ini: _Ini) -> PlantParams | None:
     base = benchmark_params()
     values = {k: ini.get("plant", k, finite_float, None) for k in _PLANT_KEYS}
     if all(v is None for v in values.values()):
         return None
-    return PlantParams(m=base.m, **{
+    return ini.make(PlantParams, m=base.m, **{
         k: getattr(base, k) if v is None else v for k, v in values.items()})
 
 
@@ -102,29 +113,19 @@ _SCENARIO_KEYS = {
 
 def scenario_from_ini(path) -> ScenarioConfig:
     """Load one scenario definition from an INI file."""
-    path = Path(path)
-    ini = _Ini(path)
-    if not ini.parser.has_section("scenario"):
-        raise ConfigError(f"{path}: missing [scenario] section")
-    try:
-        values = {name: ini.get(section, key, conv, None)
-                  for (section, key), (name, conv) in _SCENARIO_KEYS.items()}
-        fields = {"name": path.stem, "params": _plant_overrides(ini)}
-        fields.update((k, v) for k, v in values.items() if v is not None)
-        ini.check_unknown()
-        return ScenarioConfig(**fields)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    ini = _Ini(path, "scenario")
+    values = {name: ini.get(section, key, conv, None)
+              for (section, key), (name, conv) in _SCENARIO_KEYS.items()}
+    fields = {"name": ini.path.stem, "params": _plant_overrides(ini)}
+    fields.update((k, v) for k, v in values.items() if v is not None)
+    ini.check_unknown()
+    return ini.make(ScenarioConfig, **fields)
 
 
 def suite_from_ini(path) -> SuiteConfig:
     """Load a suite manifest: a [suite] section listing scenario files."""
-    path = Path(path)
-    ini = _Ini(path)
-    if not ini.parser.has_section("suite"):
-        raise ConfigError(f"{path}: missing [suite] section")
+    ini = _Ini(path, "suite")
+    path = ini.path
     name = ini.get("suite", "name", str, path.stem)
     raw = ini.get("suite", "scenarios", str, "")
     ini.check_unknown()
@@ -132,7 +133,7 @@ def suite_from_ini(path) -> SuiteConfig:
     if not entries:
         raise ConfigError(f"{path}: [suite] scenarios lists no scenario file")
     scenarios = tuple(scenario_from_ini(path.parent / entry) for entry in entries)
-    return SuiteConfig(name=name, scenarios=scenarios)
+    return ini.make(SuiteConfig, name=name, scenarios=scenarios)
 
 
 def _float_list(raw: str) -> list[float]:
@@ -143,10 +144,7 @@ def rootlocus_job_from_ini(path) -> dict:
     """The contact-stiffness root locus job: its lambda grid, log or linear,
     with a lambda = 0 row first under include_zero unless the grid already
     starts there, and the plant parameters."""
-    path = Path(path)
-    ini = _Ini(path)
-    if not ini.parser.has_section("rootlocus"):
-        raise ConfigError(f"{path}: missing [rootlocus] section")
+    ini = _Ini(path, "rootlocus")
     lo = ini.get("rootlocus", "lambda_min", finite_float, 1e-2)
     hi = ini.get("rootlocus", "lambda_max", finite_float, 1e4)
     points = ini.get("rootlocus", "points", int, 61)
@@ -155,9 +153,9 @@ def rootlocus_job_from_ini(path) -> dict:
     params = _plant_overrides(ini) or benchmark_params()
     ini.check_unknown()
     if lo <= 0.0 and log_scale:
-        raise ConfigError("lambda_min must be positive on a log grid")
+        raise ConfigError(f"{ini.path}: lambda_min must be positive on a log grid")
     if hi < lo or points < 1:
-        raise ConfigError("bad lambda grid")
+        raise ConfigError(f"{ini.path}: bad lambda grid")
     if log_scale:
         lambdas = np.logspace(np.log10(lo), np.log10(hi), points)
     else:
@@ -169,16 +167,13 @@ def rootlocus_job_from_ini(path) -> dict:
 
 def condition_job_from_ini(path) -> dict:
     """Filter design-condition check over a list of time constants."""
-    path = Path(path)
-    ini = _Ini(path)
-    if not ini.parser.has_section("condition"):
-        raise ConfigError(f"{path}: missing [condition] section")
+    ini = _Ini(path, "condition")
     job = {
         "time_constants": ini.get(
             "condition", "filter_time_constants", _float_list, [0.005, 0.01, 0.02]),
-        "filter_gain": ini.get("condition", "filter_gain", finite_float, 10.0),
-        "sample_period": ini.get("condition", "sample_period", finite_float, 1e-3),
-        "qd_peak": ini.get("condition", "qd_peak", finite_float, math.pi / 2),
+        "filter_gain": ini.get("condition", "filter_gain", finite_float, ScenarioConfig.K_a),
+        "sample_period": ini.get("condition", "sample_period", finite_float, ScenarioConfig.T_s),
+        "qd_peak": ini.get("condition", "qd_peak", finite_float, ScenarioConfig.q_d_amplitude),
         "masses": ini.get("condition", "masses", _float_list, [0.75, 1.5, 2.25]),
         "max_contact_stiffness": ini.get(
             "condition", "max_contact_stiffness", finite_float, 0.0),
@@ -187,5 +182,5 @@ def condition_job_from_ini(path) -> dict:
     }
     ini.check_unknown()
     if not job["time_constants"]:
-        raise ConfigError(f"{path}: [condition] filter_time_constants lists no time constant")
+        raise ConfigError(f"{ini.path}: [condition] filter_time_constants lists no time constant")
     return job

@@ -76,9 +76,9 @@ class ScenarioConfig:
     contact_position: float = 0.0
     bilateral_contact: bool = False
     gravity_on: bool = True
-    T_s: float = 1e-3
-    T: float = 0.01
-    K_a: float = 10.0
+    T_s: float = L1Config.T_s
+    T: float = L1Config.T
+    K_a: float = L1Config.K_a
     g_ob: float = 500.0
     substeps: int = 1
     torque_limit: float | None = None
@@ -120,6 +120,8 @@ class ScenarioConfig:
         for name in ("bilateral_contact", "gravity_on", "ideal_dob", "track_reference"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be a bool")
+        if self.track_reference and kind == "rrc":
+            raise ConfigError("reference tracking needs the adaptive controller")
         if not 0.0 <= self.mass < math.inf:
             raise ConfigError("mass must be nonnegative")
         for name in ("q_d_amplitude", "q_d_start", "contact_position"):
@@ -275,11 +277,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
             torque_limit=cfg.torque_limit,
         )
 
-    reference = None
-    if cfg.track_reference:
-        if cfg.controller == "rrc":
-            raise ConfigError("reference tracking needs the adaptive controller")
-        reference = ReferenceSystem(controller)
+    reference = ReferenceSystem(controller) if cfg.track_reference else None
 
     meta = {
         "name": cfg.name,

@@ -2,12 +2,12 @@
 
 The first line carries ``# key=value`` pairs needed to interpret the trace,
 the second line is the fixed column header, every following line is one
-sample. Floats are written with shortest round-trip representation, and text
-values are percent-encoded wherever they hold a space, ``=``, ``#``, ``%``
-or a character that is not printable ASCII. Outside the text keys, a value
-whose text reads as a number (an int, ``"1_0"``, ``" 7"``) is written as the
-float the import reads back, so export -> import -> export is byte-identical
-for every metadata value.
+sample. Floats are written with shortest round-trip representation, and keys
+and text values are percent-encoded wherever they hold a space, ``=``, ``#``,
+``%`` or a character that is not printable ASCII. Outside the text keys, a
+value whose text reads as a number (an int, ``"1_0"``, ``" 7"``) is written as
+the float the import reads back, so export -> import -> export is
+byte-identical for every metadata key and value.
 """
 
 from __future__ import annotations
@@ -45,15 +45,16 @@ def _meta_text(key: str, value) -> str:
 
 
 def _meta_line(meta: dict) -> str:
-    return "# " + " ".join(f"{k}={quote(_meta_text(k, v), safe=_META_SAFE)}"
-                           for k, v in meta.items())
+    return "# " + " ".join(
+        f"{quote(str(k), safe=_META_SAFE)}={quote(_meta_text(k, v), safe=_META_SAFE)}"
+        for k, v in meta.items())
 
 
 def _parse_meta_line(line: str) -> dict:
     meta: dict = {}
     for token in line[1:].split():
         key, _, raw = token.partition("=")
-        value = unquote(raw)
+        key, value = unquote(key), unquote(raw)
         if key not in _TEXT_KEYS:
             try:
                 value = float(value)

@@ -507,6 +507,21 @@ def test_budget_derived_quantities():
         StabilityBudget(B_2=-1.0)
 
 
+@pytest.mark.parametrize("gravity_comp", ["no", 1, None])
+def test_envelope_refuses_a_gravity_flag_that_is_not_a_bool(params, gravity_comp):
+    # a truthy "no" used to count as compensated gravity
+    with pytest.raises(ValueError, match="gravity_comp must be a bool"):
+        StabilityBudget.from_envelope(params, [0.75, 1.5], gravity_comp=gravity_comp)
+
+
+@pytest.mark.parametrize("qd_peak", [math.nan, math.inf, -math.inf])
+def test_condition_refuses_a_command_peak_that_is_not_finite(model, qd_peak):
+    # nan used to pass as satisfied with rho_best = nan
+    budget = StabilityBudget(L_2=1.0, B_2=1.0)
+    with pytest.raises(ValueError, match="qd_peak must be finite"):
+        check_stability_condition(model, L1Config(), budget, qd_peak=qd_peak)
+
+
 def test_condition_trivially_satisfied_without_state_dependence(model, params):
     budget = StabilityBudget(L_2=0.0, B_2=12.8)
     rep = check_stability_condition(model, L1Config(), budget)

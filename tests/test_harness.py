@@ -176,8 +176,11 @@ def test_configs_reject_values_they_cannot_run(factory, kwargs, error):
 
 
 def test_reference_tracking_needs_adaptive_controller():
-    with pytest.raises(ConfigError):
-        run_scenario(_quick(controller="rrc", track_reference=True))
+    # refused when the config is built, before the run builds a controller
+    with pytest.raises(ConfigError, match="reference tracking needs the adaptive controller"):
+        _quick(controller="rrc", track_reference=True)
+    with pytest.raises(ConfigError, match="reference tracking needs the adaptive controller"):
+        _quick(controller="rrc").with_overrides(track_reference=True)
 
 
 @pytest.mark.parametrize("contact_stiffness", [0.0, 500.0])
@@ -336,17 +339,22 @@ _NUMBER_TEXT = st.from_regex(
 
 
 @settings(max_examples=100, deadline=None)
-@given(meta=st.dictionaries(st.sampled_from(("K_t", "note", "mass", "tag")),
+@given(meta=st.dictionaries(st.sampled_from(("K_t", "note", "mass", "tag")) | _META_TEXT,
                             st.integers(-10**20, 10**20) | st.booleans() | _NUMBER_TEXT
                             | _META_TEXT, max_size=4))
 @example(meta={"K_t": 2, "note": "1_0", "tag": " 7", "mass": True})
+@example(meta={"a b": 1.0, "k=v": 2.0})
 def test_round_trip_exact_for_any_metadata_value(tmp_path_factory, meta):
     # outside name and controller the import reads number-like text as a
-    # float, so the export must already write that float: K_t=2.0, note=10.0
+    # float, so the export must already write that float: K_t=2.0, note=10.0;
+    # keys are encoded as text values are, so a key with a space or = survives
     columns = {name: np.zeros(1) for name in TRACE_COLUMNS}
     out = tmp_path_factory.mktemp("meta")
-    p1 = export_trace(RunTrace(columns=columns, meta={"name": "m", **meta}), out / "a.csv")
-    assert export_trace(import_trace(p1), out / "b.csv").read_bytes() == p1.read_bytes()
+    meta = {"name": "m", **meta}
+    p1 = export_trace(RunTrace(columns=columns, meta=meta), out / "a.csv")
+    back = import_trace(p1)
+    assert list(back.meta) == list(meta)
+    assert export_trace(back, out / "b.csv").read_bytes() == p1.read_bytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -842,6 +850,55 @@ def test_nonfinite_config_value_is_rejected(tmp_path, capsys, loader, section, k
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("loader, text, message", [
+    ("run", None, "config file not found"),
+    ("run", "[tuning]\nsubsteps = 2\n", "missing [scenario] section"),
+    ("suite", "[scenario]\n", "missing [suite] section"),
+    ("rootlocus", "[condition]\n", "missing [rootlocus] section"),
+    ("condition", "[rootlocus]\n", "missing [condition] section"),
+    ("rootlocus", "[rootlocus]\nlambda_min = 0.0\n", "lambda_min must be positive on a log grid"),
+    ("rootlocus", "[rootlocus]\nlambda_min = 2.0\nlambda_max = 1.0\n", "bad lambda grid"),
+    ("rootlocus", "[rootlocus]\npoints = 0\n", "bad lambda grid"),
+    ("rootlocus", "[rootlocus]\n[plant]\nJ_m = -1.0\n", "J_m must be strictly positive"),
+    ("run", "[scenario]\nduration = -1.0\n", "duration must be positive"),
+    ("suite", "[suite]\nscenarios = one.ini, one.ini\n", "scenario names within a suite"),
+], ids=["absent", "no-scenario", "no-suite", "no-rootlocus", "no-condition", "log-grid",
+        "reversed-grid", "no-points", "plant", "scenario", "suite"])
+def test_config_errors_start_with_the_file_path(tmp_path, capsys, loader, text, message):
+    from sea_l1ac.config_io import (
+        condition_job_from_ini,
+        rootlocus_job_from_ini,
+        scenario_from_ini,
+        suite_from_ini,
+    )
+
+    (tmp_path / "one.ini").write_text("[scenario]\nname = one\n")
+    ini = tmp_path / "bad.ini"
+    if text is not None:
+        ini.write_text(text)
+    load = {"run": scenario_from_ini, "suite": suite_from_ini,
+            "rootlocus": rootlocus_job_from_ini, "condition": condition_job_from_ini}[loader]
+    with pytest.raises(ConfigError) as exc_info:
+        load(ini)
+    assert str(exc_info.value).startswith(f"{ini}: {message}")
+    argv = [loader, str(ini)] if loader in ("run", "suite") else ["analyze", loader, str(ini)]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    assert f'"error": "config", "detail": "{ini}: {message}' in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_each_tuning_default_holds_its_value(tmp_path):
+    from sea_l1ac.config_io import condition_job_from_ini
+
+    l1, cfg = L1Config(), ScenarioConfig()
+    assert (cfg.T_s, cfg.T, cfg.K_a) == (l1.T_s, l1.T, l1.K_a) == (1e-3, 0.01, 10.0)
+    cfgfile = tmp_path / "an.ini"
+    cfgfile.write_text("[condition]\n")
+    job = condition_job_from_ini(cfgfile)
+    assert (job["sample_period"], job["filter_gain"], job["qd_peak"]) == (
+        cfg.T_s, cfg.K_a, cfg.q_d_amplitude) == (1e-3, 10.0, math.pi / 2)
+
+
 def test_shipped_load_variation_suite_reproduces_the_comparison():
     from sea_l1ac.config_io import suite_from_ini
 
@@ -891,9 +948,13 @@ def test_cli_run_and_metrics(tmp_path, capsys):
     assert main(["run", str(scen), "--out-dir", str(out)]) == 0
     trace_file = out / "cli_smoke.csv"
     assert trace_file.exists() and (out / "plot_cli_smoke.py").exists()
+    trace_line, run_metrics = capsys.readouterr().out.splitlines()
+    assert trace_line == f"trace: {trace_file}"
     assert main(["metrics", str(trace_file)]) == 0
     payload = capsys.readouterr().out
     assert "static_error_rad" in payload
+    # export and import are exact, so run's metrics are the trace file's to the bit
+    assert run_metrics + "\n" == payload
 
 
 def test_cli_run_with_overrides(tmp_path):
