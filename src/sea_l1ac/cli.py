@@ -68,19 +68,14 @@ def _category(exc: Exception) -> str | None:
     return None
 
 
-def _certificate(params, masses, max_contact_stiffness, gravity_comp):
-    """The nominal model and the envelope budget the design condition checks."""
-    model = build_nominal_model(params, build_rrc_gains(params))
-    budget = analysis.StabilityBudget.from_envelope(
-        params, masses, max_contact_stiffness=max_contact_stiffness, gravity_comp=gravity_comp)
-    return model, budget
-
-
 def _warn_condition(cfg: ScenarioConfig):
     if cfg.controller == "rrc":
         return
-    model, budget = _certificate(cfg.make_params(), [cfg.mass], cfg.contact_stiffness,
-                                 cfg.gravity_feedforward)
+    params = cfg.make_params()
+    model = build_nominal_model(params, build_rrc_gains(params))
+    budget = analysis.StabilityBudget.from_envelope(
+        params, [cfg.mass], max_contact_stiffness=cfg.contact_stiffness,
+        gravity_comp=cfg.gravity_feedforward)
     report = analysis.check_stability_condition(
         model, L1Config(T_s=cfg.T_s, T=cfg.T, K_a=cfg.K_a), budget,
         qd_peak=abs(cfg.q_d_amplitude),
@@ -104,7 +99,6 @@ def _run_and_export(suite: SuiteConfig, args) -> tuple[SuiteConfig, SuiteResult,
         for scen in suite.scenarios:
             _warn_condition(scen)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     result = run_suite(suite)
     for name in (scen.name for scen in suite.scenarios):
         if name in result.traces:
@@ -144,24 +138,20 @@ def _cmd_analyze(args) -> int:
         rows = analysis.root_locus(job["params"].omega, job["lambdas"]).csv_rows()
     else:
         job = condition_job_from_ini(args.config)
-        model, budget = _certificate(job["params"], job["masses"],
-                                     job["max_contact_stiffness"], job["gravity_comp"])
+        model = build_nominal_model(job["params"], build_rrc_gains(job["params"]))
         rows = [[
             "T_s", "T", "K_a", "satisfied", "margin", "lhs", "rhs_best", "rho_best",
             "norm_G1", "norm_G2", "norm_Gd", "reason",
         ]]
-        for T in job["time_constants"]:
-            cfg = L1Config(T_s=job["sample_period"], T=T, K_a=job["filter_gain"])
-            rep = analysis.check_stability_condition(model, cfg, budget, qd_peak=job["qd_peak"])
+        for cfg in job["configs"]:
+            rep = analysis.check_stability_condition(model, cfg, job["budget"],
+                                                     qd_peak=job["qd_peak"])
             rows.append([
-                cfg.T_s, T, cfg.K_a, int(rep.satisfied), rep.margin, rep.lhs,
+                cfg.T_s, cfg.T, cfg.K_a, int(rep.satisfied), rep.margin, rep.lhs,
                 rep.rhs_best, rep.rho_best, rep.norm_g1, rep.norm_g2, rep.norm_gd,
                 rep.reason,
             ])
-    # the directory appears only once there is a table to put in it
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = export_table(rows, out_dir / f"{args.what}.csv")
+    path = export_table(rows, Path(args.out_dir) / f"{args.what}.csv")
     if args.what == "condition":
         sys.stdout.write(path.read_text(encoding="utf-8"))
     print(f"{args.what} table: {path}")

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .analysis import StabilityBudget
+from .controllers import L1Config
 from .harness import ConfigError, ScenarioConfig, SuiteConfig
 from .params import PlantParams, benchmark_params
 
@@ -166,21 +168,27 @@ def rootlocus_job_from_ini(path) -> dict:
 
 
 def condition_job_from_ini(path) -> dict:
-    """Filter design-condition check over a list of time constants."""
+    """The filter design-condition job: the plant parameters, the envelope's
+    ``budget``, one L1Config per filter time constant, and ``qd_peak``."""
     ini = _Ini(path, "condition")
-    job = {
-        "time_constants": ini.get(
-            "condition", "filter_time_constants", _float_list, [0.005, 0.01, 0.02]),
-        "filter_gain": ini.get("condition", "filter_gain", finite_float, ScenarioConfig.K_a),
-        "sample_period": ini.get("condition", "sample_period", finite_float, ScenarioConfig.T_s),
-        "qd_peak": ini.get("condition", "qd_peak", finite_float, ScenarioConfig.q_d_amplitude),
+    time_constants = ini.get(
+        "condition", "filter_time_constants", _float_list, [0.005, 0.01, 0.02])
+    K_a = ini.get("condition", "filter_gain", finite_float, ScenarioConfig.K_a)
+    T_s = ini.get("condition", "sample_period", finite_float, ScenarioConfig.T_s)
+    qd_peak = ini.get("condition", "qd_peak", finite_float, ScenarioConfig.q_d_amplitude)
+    envelope = {
         "masses": ini.get("condition", "masses", _float_list, [0.75, 1.5, 2.25]),
         "max_contact_stiffness": ini.get(
             "condition", "max_contact_stiffness", finite_float, 0.0),
         "gravity_comp": ini.get("condition", "gravity_comp", bool, True),
-        "params": _plant_overrides(ini) or benchmark_params(),
     }
+    params = _plant_overrides(ini) or benchmark_params()
     ini.check_unknown()
-    if not job["time_constants"]:
+    if not time_constants:
         raise ConfigError(f"{ini.path}: [condition] filter_time_constants lists no time constant")
-    return job
+    return {
+        "params": params,
+        "budget": ini.make(StabilityBudget.from_envelope, params=params, **envelope),
+        "configs": [ini.make(L1Config, T_s=T_s, T=T, K_a=K_a) for T in time_constants],
+        "qd_peak": qd_peak,
+    }

@@ -21,9 +21,9 @@ same floating-point operations as the three methods ``adaptation_update``,
 and step() reproduces them bit for bit, so recorded traces do not depend on
 which form ran. ``ReferenceSystem`` is built from an ``L1Controller`` and
 reuses its hold pair and filter matrices: one sample is the linear
-recurrence s+ = M s + N u on its state s = [x_r; z_f]. ``step`` advances it
-one sample and is its definition; ``run`` marches a whole input sequence at
-once by repeated squaring and agrees with ``step`` in a loop to rounding.
+recurrence s+ = M s + N u on the state s = [x_r; z_f], which ``step(s, u)``
+returns and defines; ``run`` marches a whole input sequence at once by
+repeated squaring and agrees with ``step`` in a loop to rounding.
 
 Both controllers' ``step(x, q_d, tau_dob)`` return the step record, a plain
 tuple ``(tau_m, u1, u2, xtilde_inf, sigma22_hat, u_gc, g_ff1)``: torque,
@@ -406,10 +406,10 @@ class ReferenceSystem:
     built from the controller's matrices and discretizes nothing itself.
 
     One sample is s+ = M s + N u on the state s = [x_r; z_f] and the input
-    u = (sigma1, sigma2 (3), q_d, matched_known, unmatched_known (3)), the
-    arguments of ``step`` in order. ``step`` advances s one sample and is
-    the definition; ``run`` applies the same recurrence to a whole input
-    sequence without a per-sample Python call.
+    row u = (sigma1, sigma2 (3), q_d, matched_known, unmatched_known (3)).
+    ``step`` is that recurrence and its definition; ``run`` applies it to a
+    whole input sequence without a per-sample Python call. The instance
+    holds only M and N.
     """
 
     def __init__(self, controller: L1Controller):
@@ -426,41 +426,17 @@ class ReferenceSystem:
         self._M = np.block([[controller.E, -np.outer(pb, Cd[0])],
                             [np.zeros((nf, 4)), Ad]])
         self._N = np.vstack([controller.Phi @ hold - np.outer(pb, (Dd @ v)[0]), Bd @ v])
-        self.reset()
 
-    def reset(self, x0=None):
-        """Start from x_r = ``x0`` (zeros when None) and a zero filter state."""
-        self._s = np.zeros(len(self._M))
-        if x0 is not None:
-            self._s[:4] = x0
-
-    def step(
-        self,
-        sigma1_true: float,
-        sigma2_true,
-        q_d: float,
-        matched_known: float = 0.0,
-        unmatched_known=None,
-    ) -> np.ndarray:
-        """Advance one sample and return x_r; the 3-vectors may be any float
-        sequences."""
-        u = np.zeros(9)
-        u[0] = sigma1_true
-        u[1:4] = sigma2_true
-        u[4] = q_d
-        u[5] = matched_known
-        if unmatched_known is not None:
-            u[6:] = unmatched_known
-        self._s = self._M @ self._s + self._N @ u
-        return self._s[:4]
+    def step(self, s, u) -> np.ndarray:
+        """The state [x_r; z_f] one sample after ``s`` under the input row ``u``."""
+        return self._M @ s + self._N @ u
 
     def run(self, x0, inputs) -> np.ndarray:
-        """x_r after each of ``len(inputs)`` samples from ``reset(x0)``.
+        """x_r after each of ``len(inputs)`` samples from s = [x0; 0].
 
-        Row k of ``inputs`` holds sample k's arguments of ``step`` in order:
-        sigma1_true, sigma2_true (3), q_d, matched_known, unmatched_known (3).
-        Row k of the result is what the (k+1)-th ``step`` returns, to
-        rounding. The instance's own state is left alone.
+        Row k of ``inputs`` is sample k's input row u: sigma1_true,
+        sigma2_true (3), q_d, matched_known, unmatched_known (3). Row k of
+        the result is x_r after k + 1 calls s = step(s, u), to rounding.
 
         s+ = M s + N u is an affine prefix scan, marched in the doubling
         form of Hillis and Steele: s starts as the drives N u, the first

@@ -227,7 +227,7 @@ def _reference_error(reference: ReferenceSystem, log: array, x_final,
     link_torque = np.fromiter(map(partial(contact_torque, env), q.tolist()), float, n)
     if gravity_gains is not None:
         link_torque = link_torque + gravity_gains[1] * np.sin(q)
-    u = np.zeros((n, 9))  # the arguments of ReferenceSystem.step, in order
+    u = np.zeros((n, 9))  # one input row of ReferenceSystem.step per sample
     u[:, 0] = (tau_dob - params.f_m * dtheta - tau_spring) / params.J_m
     u[:, 2] = -link_torque / params.J_a - g_ff1
     u[:, 4] = q_d

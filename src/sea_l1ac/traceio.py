@@ -65,9 +65,11 @@ def _parse_meta_line(line: str) -> dict:
 
 
 def _write(path, what: str, text: str) -> Path:
-    """Write ``text`` to ``path`` with LF line ends; an OSError names ``what``."""
+    """Write ``text`` to ``path`` with LF line ends, creating its directory
+    first; an OSError names ``what``."""
     path = Path(path)
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise OSError(f"cannot write {what} to {path}: {exc}") from exc

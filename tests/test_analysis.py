@@ -88,8 +88,7 @@ def _design_pieces():
     """The nine reference-loop pieces that configs/analysis.ini certifies."""
     job = condition_job_from_ini(_CONFIGS / "analysis.ini")
     model = build_nominal_model(job["params"], build_rrc_gains(job["params"]))
-    return [piece for T in job["time_constants"]
-            for piece in reference_loop_pieces(model, L1Config(T=T, K_a=job["filter_gain"]))]
+    return [piece for cfg in job["configs"] for piece in reference_loop_pieces(model, cfg)]
 
 
 def test_expm_matches_scipy_on_the_design_realizations():

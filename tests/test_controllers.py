@@ -308,11 +308,26 @@ def _reference(params, gains, model, cfg=L1Config()):
     return ReferenceSystem(L1Controller(params, gains, model, cfg))
 
 
+def _start(ref, x0=(0.0,) * 4):
+    """The reference state s = [x0; 0]: x_r = x0 and a zero filter state."""
+    return np.concatenate([x0, np.zeros(len(ref._M) - 4)])
+
+
+def test_reference_system_holds_only_its_recurrence(params, gains, model):
+    ref = _reference(params, gains, model)
+    assert set(vars(ref)) == {"_M", "_N"} and not hasattr(ref, "reset")
+    s, u = _start(ref, np.arange(4.0)), np.arange(9.0)
+    assert np.array_equal(ref.step(s, u), ref._M @ s + ref._N @ u)
+
+
 def test_reference_system_tracks_step_without_disturbance(params, gains, model):
     ref = _reference(params, gains, model)
     q_d = 1.2
+    s, u = _start(ref), np.zeros(9)
+    u[4] = q_d
     for _ in range(4000):
-        x_r = ref.step(0.0, np.zeros(3), q_d)
+        s = ref.step(s, u)
+    x_r = s[:4]
     assert x_r[0] == pytest.approx(q_d, abs=1e-6)
     assert abs(x_r[1]) < 1e-6
 
@@ -326,11 +341,13 @@ def test_reference_system_respects_certified_bound(params, gains, model):
     rep = check_stability_condition(model, L1Config(), budget, qd_peak=math.pi / 2)
     assert rep.satisfied and 100.0 > rep.rho_best
     ref = _reference(params, gains, model)
-    sigma2 = np.array([0.0, -12.84, 0.0])
+    s, u = _start(ref), np.zeros(9)
+    u[1:4] = (0.0, -12.84, 0.0)  # sigma2
+    u[4] = math.pi / 2
     peak = 0.0
     for _ in range(5000):
-        x_r = ref.step(0.0, sigma2, math.pi / 2)
-        peak = max(peak, float(np.max(np.abs(x_r))))
+        s = ref.step(s, u)
+        peak = max(peak, float(np.max(np.abs(s[:4]))))
     assert peak <= 100.0
 
 
@@ -424,7 +441,7 @@ def test_fused_reference_step_matches_unfused_formula(params, gains, model, x0, 
     # state shows in x_r one sample later
     ctl = L1Controller(params, gains, model, L1Config())
     ref = ReferenceSystem(ctl)
-    ref.reset(np.array(x0))
+    s = _start(ref, np.array(x0))
     x_r, zf = np.array(x0), np.zeros(ctl.Ad.shape[0])
     for sigma1, sigma2, q_d, matched_known, unmatched_known in samples:
         v = np.array([sigma1 - model.K_g * q_d, *sigma2])
@@ -434,8 +451,8 @@ def test_fused_reference_step_matches_unfused_formula(params, gains, model, x0, 
                  model.B_um @ (np.array(sigma2) + unmatched_known))
         x_terms = (ctl.E @ x_r, *(ctl.Phi @ d for d in drive))
         x_r = sum(x_terms)
-        got = ref.step(sigma1, sigma2, q_d, matched_known, unmatched_known)
-        _assert_close(got, x_r, *x_terms, ctl.Phi @ model.B_m * u2r)
+        s = ref.step(s, np.array([sigma1, *sigma2, q_d, matched_known, *unmatched_known]))
+        _assert_close(s[:4], x_r, *x_terms, ctl.Phi @ model.B_m * u2r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -467,15 +484,15 @@ def test_reference_run_matches_a_loop_of_step(params, gains, model, T_s, K_a, T_
         inputs = np.cumsum(inputs, axis=0) / np.sqrt(n)
     x0 = rng.standard_normal(4)
 
-    ref.reset(x0)
-    got = ref.run(x0, inputs)  # between reset and the loop: it must not move the state
-    want = np.array([ref.step(u[0], u[1:4], u[4], u[5], u[6:9]) for u in inputs])
+    got = ref.run(x0, inputs)
+    s, want = _start(ref, x0), np.empty((n, 4))
+    for k, u in enumerate(inputs):
+        s = ref.step(s, u)
+        want[k] = s[:4]
     # the bound: 1e-12 of the peak |x_r|; the doubling scan and the per-sample
     # product round differently, by about 1e-14 of the peak
     assert got.shape == (n, 4)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    # run does not read the state that step advanced
-    assert np.array_equal(ref.run(x0, inputs), got)
 
 
 def test_reference_run_of_no_samples(params, gains, model):

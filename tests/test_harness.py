@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import subprocess
 import sys
@@ -186,8 +187,8 @@ def test_reference_tracking_needs_adaptive_controller():
 @pytest.mark.parametrize("contact_stiffness", [0.0, 500.0])
 def test_reference_error_compares_the_same_sample_instants(contact_stiffness):
     # l1ac-nogc with the ideal observer and no substeps: every reference input
-    # is a function of the trace row, so the oracle rebuilds them and steps
-    # ReferenceSystem.step itself; x_r(k) is compared with x(k) for k = 1..n
+    # is a function of the trace row, so the oracle rebuilds them and loops
+    # ReferenceSystem.step from [x(0); 0]; x_r(k) is compared with x(k) for k = 1..n
     from sea_l1ac.controllers import (
         L1Controller, ReferenceSystem, ideal_motor_side_compensation,
     )
@@ -208,15 +209,15 @@ def test_reference_error_compares_the_same_sample_instants(contact_stiffness):
     final = _rk4_tuple(tuple(xs[-1]), float(trace["tau_m_Nm"][-1]), cfg.T_s, params, env,
                        _link_gravity_gains(params, cfg.gravity_on))
     after = np.vstack([xs[1:], final])  # x(k + 1), the state each step leads to
-    worst = 0.0
+    s, worst = np.concatenate([xs[0], np.zeros(len(ref._M) - 4)]), 0.0
     for t, x, x_next in zip(trace["t_s"], xs, after):
         q, _, theta, dtheta = x
         tau_dob = ideal_motor_side_compensation(x, params)
         sigma1 = (tau_dob - params.f_m * dtheta - params.K_f * (theta - q)) / params.J_m
         link = contact_torque(env, q) + gravity_gain(params, params.m) * math.sin(q)
         q_d = cfg.q_d_amplitude if t >= cfg.q_d_start else 0.0
-        x_r = ref.step(sigma1, (0.0, -link / params.J_a, 0.0), q_d)
-        worst = max(worst, float(np.max(np.abs(x_r - x_next))))
+        s = ref.step(s, np.array([sigma1, 0.0, -link / params.J_a, 0.0, q_d, 0.0, 0.0, 0.0, 0.0]))
+        worst = max(worst, float(np.max(np.abs(s[:4] - x_next))))
     assert len(trace) == 1000 and worst > 0.0
     assert np.max(trace["q_rad"]) > cfg.contact_position  # the wall, when there is one, is hit
     assert trace.aux["ref_err_max"] == pytest.approx(worst, rel=1e-9, abs=0.0)
@@ -862,8 +863,13 @@ def test_nonfinite_config_value_is_rejected(tmp_path, capsys, loader, section, k
     ("rootlocus", "[rootlocus]\n[plant]\nJ_m = -1.0\n", "J_m must be strictly positive"),
     ("run", "[scenario]\nduration = -1.0\n", "duration must be positive"),
     ("suite", "[suite]\nscenarios = one.ini, one.ini\n", "scenario names within a suite"),
+    ("condition", "[condition]\nfilter_gain = -1.0\n", "K_a must be positive"),
+    ("condition", "[condition]\nfilter_time_constants = 0.0005\n",
+     "filter time constant T must exceed the period T_s"),
+    ("condition", "[condition]\nmasses = -3.0\n", "test mass -3.0 must be nonnegative"),
 ], ids=["absent", "no-scenario", "no-suite", "no-rootlocus", "no-condition", "log-grid",
-        "reversed-grid", "no-points", "plant", "scenario", "suite"])
+        "reversed-grid", "no-points", "plant", "scenario", "suite", "condition-gain",
+        "condition-time-constant", "condition-mass"])
 def test_config_errors_start_with_the_file_path(tmp_path, capsys, loader, text, message):
     from sea_l1ac.config_io import (
         condition_job_from_ini,
@@ -895,8 +901,8 @@ def test_each_tuning_default_holds_its_value(tmp_path):
     cfgfile = tmp_path / "an.ini"
     cfgfile.write_text("[condition]\n")
     job = condition_job_from_ini(cfgfile)
-    assert (job["sample_period"], job["filter_gain"], job["qd_peak"]) == (
-        cfg.T_s, cfg.K_a, cfg.q_d_amplitude) == (1e-3, 10.0, math.pi / 2)
+    assert {(c.T_s, c.K_a) for c in job["configs"]} == {(cfg.T_s, cfg.K_a)} == {(1e-3, 10.0)}
+    assert job["qd_peak"] == cfg.q_d_amplitude == math.pi / 2
 
 
 def test_shipped_load_variation_suite_reproduces_the_comparison():
@@ -1149,6 +1155,29 @@ def test_cli_missing_config_reports_config_error(tmp_path, capsys):
     assert '"error": "config"' in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "suite", "rootlocus", "condition", "metrics"])
+def test_cli_io_error_exits_4_and_names_the_path(tmp_path, capsys, command):
+    # an --out-dir that is a regular file, or a trace that is not there
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    manifest = _write_suite(tmp_path)
+    analysis_ini = tmp_path / "an.ini"
+    analysis_ini.write_text(
+        "[rootlocus]\npoints = 3\n\n[condition]\nfilter_time_constants = 0.01\n")
+    argv, path = {
+        "run": (["run", str(tmp_path / "one.ini")], blocker),
+        "suite": (["suite", str(manifest)], blocker),
+        "rootlocus": (["analyze", "rootlocus", str(analysis_ini)], blocker),
+        "condition": (["analyze", "condition", str(analysis_ini)], blocker),
+        "metrics": (["metrics", str(tmp_path / "absent.csv")], tmp_path / "absent.csv"),
+    }[command]
+    if command != "metrics":
+        argv += ["--out-dir", str(blocker)]
+    assert main(argv) == 4
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert error["error"] == "io" and str(path) in error["detail"]
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("tuning, category, code", [
@@ -1167,6 +1196,8 @@ def test_cli_suite_reports_a_failed_scenario_as_run_does(tmp_path, capsys, tunin
     for argv in (["run", str(tmp_path / "one.ini")], ["suite", str(manifest)]):
         assert main([*argv, "--out-dir", str(tmp_path / "out")]) == code
         assert f'"error": "{category}"' in capsys.readouterr().err
+        if argv[0] == "run":  # only the diverged loop writes a file: its partial trace
+            assert (tmp_path / "out").exists() == (category == "numeric")
     # with both kinds of failure the suite reports the graver one
     (tmp_path / "two.ini").write_text(
         "[scenario]\nname = two\n\n[tuning]\nfilter_time_constant = 0.0005\n")
@@ -1219,7 +1250,7 @@ def test_condition_time_constants_keep_the_default_when_absent_or_blank(tmp_path
 
     cfgfile = tmp_path / "an.ini"
     cfgfile.write_text(f"[condition]\n{line}")
-    assert condition_job_from_ini(cfgfile)["time_constants"] == [0.005, 0.01, 0.02]
+    assert [c.T for c in condition_job_from_ini(cfgfile)["configs"]] == [0.005, 0.01, 0.02]
 
 
 def test_cli_analyze(tmp_path, capsys):
