@@ -144,8 +144,13 @@ def _cmd_analyze(args) -> int:
             "norm_G1", "norm_G2", "norm_Gd", "reason",
         ]]
         for cfg in job["configs"]:
-            rep = analysis.check_stability_condition(model, cfg, job["budget"],
-                                                     qd_peak=job["qd_peak"])
+            try:
+                rep = analysis.check_stability_condition(model, cfg, job["budget"],
+                                                         qd_peak=job["qd_peak"])
+            except ValueError as exc:  # a row too stiff to certify; numeric errors pass
+                if _category(exc) != "config":
+                    raise
+                raise ValueError(f"{args.config}: T = {cfg.T}: {exc}") from None
             rows.append([
                 cfg.T_s, cfg.T, cfg.K_a, int(rep.satisfied), rep.margin, rep.lhs,
                 rep.rhs_best, rep.rho_best, rep.norm_g1, rep.norm_g2, rep.norm_gd,

@@ -50,7 +50,7 @@ from .analysis import (
     shaping_filter_polynomials,
     shaping_filter_stable,
 )
-from .nominal import NominalModel, RrcGains, transfer_from_state_space
+from .nominal import NominalModel, build_nominal_model, build_rrc_gains, transfer_from_state_space
 from .params import PlantParams
 from .plant import gravity_gain
 
@@ -118,18 +118,14 @@ def ideal_motor_side_compensation(state, params: PlantParams) -> float:
 class RrcController:
     """Baseline law: motor target offset by the spring wind-up that holds
     the nominal gravity, plus spring-feedback shaping, plus the observer
-    feedforward. Stateless apart from its configuration."""
+    feedforward. Its gains are ``build_rrc_gains(params)``. Stateless apart
+    from its configuration."""
 
-    def __init__(
-        self,
-        params: PlantParams,
-        gains: RrcGains,
-        gravity_comp: bool = True,
-        torque_limit: float | None = None,
-    ):
+    def __init__(self, params: PlantParams, *, gravity_comp: bool = True,
+                 torque_limit: float | None = None):
         _check_law_options(gravity_comp, torque_limit)
         self.params = params
-        self.gains = gains
+        self.gains = build_rrc_gains(params)
         self.gravity_comp = gravity_comp
         self.torque_limit = torque_limit
         self._gravity_gain = gravity_gain(params, params.m_0)
@@ -240,21 +236,17 @@ class L1Controller:
     feedforward on the matched channel (the baseline law's two gravity terms)
     and as a known unmatched input to the predictor, leaving only the
     load-deviation part to the adaptive estimates.
+
+    The gains are ``build_rrc_gains(params)`` and the nominal model is the
+    closed loop of that same law, ``build_nominal_model(params, gains)``.
     """
 
-    def __init__(
-        self,
-        params: PlantParams,
-        gains: RrcGains,
-        model: NominalModel,
-        cfg: L1Config,
-        gravity_comp: bool = True,
-        torque_limit: float | None = None,
-    ):
+    def __init__(self, params: PlantParams, cfg: L1Config, *, gravity_comp: bool = True,
+                 torque_limit: float | None = None):
         _check_law_options(gravity_comp, torque_limit)
         self.params = params
-        self.gains = gains
-        self.model = model
+        self.gains = gains = build_rrc_gains(params)
+        self.model = model = build_nominal_model(params, gains)
         self.cfg = cfg
         self.gravity_comp = gravity_comp
         self.torque_limit = torque_limit
@@ -263,7 +255,7 @@ class L1Controller:
             self.E, self.Phi = hold_response(model.A_m, cfg.T_s)
             self._zoh_inverse = np.linalg.inv(self.Phi @ model.b_stacked)
         except np.linalg.LinAlgError as exc:
-            raise ValueError("singular hold response; check T_s and the model") from exc
+            raise ValueError("singular hold response; check T_s and the plant constants") from exc
         self.Ad, self.Bd, self.Cd, self.Dd = discretize_filter_bank(model, cfg)
         self._gravity_gain = gravity_gain(params, params.m_0)
 
@@ -280,13 +272,10 @@ class L1Controller:
         self._dots = self._buf[8:].reshape(3, 4, 1)
         self._start_maps = np.stack([-self._zoh_inverse, self.E, self.Ad])
         self._dot_rows = np.stack([self.Cd, gains.K[None, :], self.Dd])
-        # [B_m B_um] permutes identity columns, so row r of B_m * matched +
-        # B_um @ unmatched is input route[r] of (matched, *unmatched) plus
-        # exact zeros, which only turn -0.0 into 0.0
-        b = model.b_stacked
-        self._route = tuple(int(j) for j in np.argmax(b, axis=1))
-        if not np.array_equal(b, np.eye(4)[list(self._route)]):
-            raise ValueError("[B_m B_um] must be a permutation of identity columns")
+        # [B_m B_um] is the identity columns [e4 e1 e2 e3], so row r of
+        # B_m * matched + B_um @ unmatched is input route[r] of (matched,
+        # *unmatched) plus exact zeros, which only turn -0.0 into 0.0
+        self._route = tuple(int(j) for j in np.argmax(model.b_stacked, axis=1))
         self.reset(np.zeros(4))
 
     @property

@@ -26,7 +26,6 @@ from .controllers import (
     RrcController,
     ideal_motor_side_compensation,
 )
-from .nominal import build_nominal_model, build_rrc_gains
 from .params import EnvironmentModel, PlantParams, benchmark_params
 from .plant import _link_gravity_gains, _rk4_tuple, contact_torque
 
@@ -255,8 +254,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
     """
     params = cfg.make_params()
     env = cfg.make_environment()
-    gains = build_rrc_gains(params)
-    model = build_nominal_model(params, gains)
     h = cfg.T_s / cfg.substeps
 
     dob = None
@@ -264,14 +261,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
         dob = DisturbanceObserver(cfg.g_ob, params, h)
 
     if cfg.controller == "rrc":
-        controller = RrcController(
-            params, gains, gravity_comp=cfg.gravity_on, torque_limit=cfg.torque_limit
-        )
+        controller = RrcController(params, gravity_comp=cfg.gravity_on,
+                                   torque_limit=cfg.torque_limit)
     else:
         controller = L1Controller(
             params,
-            gains,
-            model,
             L1Config(T_s=cfg.T_s, T=cfg.T, K_a=cfg.K_a),
             gravity_comp=cfg.gravity_feedforward,
             torque_limit=cfg.torque_limit,

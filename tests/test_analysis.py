@@ -535,6 +535,16 @@ def test_condition_default_envelope_satisfied(model, params):
     assert 0.5 < rep.norm_g2 < 20.0
 
 
+def test_envelope_without_gravity_compensation_charges_the_full_load(model, params):
+    masses = [0.75, 1.5, 2.25]
+    full = StabilityBudget.from_envelope(params, masses, gravity_comp=False)
+    assert full.B_2 == (max(masses) / params.m_0) * params.G_0 / params.J_a
+    compensated = StabilityBudget.from_envelope(params, masses)
+    assert full.B_2 > compensated.B_2
+    rho = [check_stability_condition(model, L1Config(), b).rho_best for b in (full, compensated)]
+    assert rho[0] >= rho[1]
+
+
 def test_condition_violated_for_sluggish_filter(model, params):
     budget = StabilityBudget.from_envelope(params, [0.75, 1.5, 2.25])
     rep = check_stability_condition(model, L1Config(T=1.0, K_a=10.0), budget)
@@ -559,8 +569,8 @@ _EDGE = 8 / 9
 @pytest.mark.parametrize("T", [2.0**-5, 2.0**-2])  # so K_a T is exactly the product below
 @pytest.mark.parametrize("product", [0.5 * _EDGE, 0.9 * _EDGE, math.nextafter(_EDGE, 0.0), _EDGE,
                                      math.nextafter(_EDGE, 1.0), 1.1 * _EDGE, 2.0 * _EDGE])
-def test_controller_and_condition_share_the_filter_stability_boundary(params, gains, model,
-                                                                      T, product):
+def test_controller_and_condition_share_the_filter_stability_boundary(params, model, T,
+                                                                      product):
     cfg = L1Config(T=T, K_a=product / T)
     assert cfg.K_a * T == product
     try:
@@ -575,9 +585,9 @@ def test_controller_and_condition_share_the_filter_stability_boundary(params, ga
     assert reported_unstable == (product >= _EDGE)
     if reported_unstable:
         with pytest.raises(ValueError, match="unstable"):
-            L1Controller(params, gains, model, cfg)
+            L1Controller(params, cfg)
     else:
-        L1Controller(params, gains, model, cfg)
+        L1Controller(params, cfg)
 
 
 _TUNINGS = [(0.01, 10.0), (0.005, 40.0), (0.02, 10.0)]
@@ -656,12 +666,12 @@ def _reference_peak(ref, b2, n=2000):
 
 
 @pytest.mark.parametrize("T, K_a", _TUNINGS)
-def test_certified_bound_holds_in_the_reference_system(params, gains, model, T, K_a):
+def test_certified_bound_holds_in_the_reference_system(params, model, T, K_a):
     # Whenever the check certifies rho_r for |sigma2|_inf <= B_2 and a
     # pi/2 step command, the reference system driven by such disturbances
     # stays within it.
     cfg = L1Config(T=T, K_a=K_a)
-    ref = ReferenceSystem(L1Controller(params, gains, model, cfg))
+    ref = ReferenceSystem(L1Controller(params, cfg))
     certified = 0
     for b2 in (0.0, 0.5, 2.0):
         peak = _reference_peak(ref, b2)
@@ -681,9 +691,9 @@ _G2_DEFECT = pytest.mark.xfail(
 
 @pytest.mark.parametrize("T, K_a", [
     (0.01, 10.0), pytest.param(0.005, 40.0, marks=_G2_DEFECT), (0.02, 10.0)])
-def test_least_certified_bound_holds_in_the_reference_system(params, gains, model, T, K_a):
+def test_least_certified_bound_holds_in_the_reference_system(params, model, T, K_a):
     cfg = L1Config(T=T, K_a=K_a)
-    ref = ReferenceSystem(L1Controller(params, gains, model, cfg))
+    ref = ReferenceSystem(L1Controller(params, cfg))
     for b2 in (0.0, 0.5, 2.0):
         rep = check_stability_condition(model, cfg, StabilityBudget(B_2=b2))
         assert rep.satisfied

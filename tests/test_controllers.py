@@ -74,13 +74,41 @@ def test_dob_requires_bandwidth_separation(params):
 # baseline law
 # ---------------------------------------------------------------------------
 
-def test_rrc_equilibrium_passes_observer_torque_through(params, gains):
+def test_rrc_equilibrium_passes_observer_torque_through(params):
     q_d = 1.1
     g = gravity_gain(params, params.m_0) * math.sin(q_d)
     theta = q_d + g / params.K_f
     dob_out = params.K_f * (theta - q_d)
-    tau = RrcController(params, gains).step((q_d, 0.0, theta, 0.0), q_d, dob_out)[0]
+    tau = RrcController(params).step((q_d, 0.0, theta, 0.0), q_d, dob_out)[0]
     assert tau == pytest.approx(dob_out, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# law and nominal model derived from the plant
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("plant", [{}, {"J_a": 0.5, "K_f": 100.0}], ids=["benchmark", "override"])
+def test_controllers_derive_gains_and_model_from_the_plant(params, plant):
+    plant_params = replace(params, **plant)
+    gains = build_rrc_gains(plant_params)
+    model = build_nominal_model(plant_params, gains)
+    rrc = RrcController(plant_params)
+    l1 = L1Controller(plant_params, L1Config())
+    for ctl in (rrc, l1):
+        assert np.array_equal(ctl.gains.K, gains.K)
+        assert (ctl.gains.K_p, ctl.gains.K_r, ctl.gains.K_v) == (gains.K_p, gains.K_r, gains.K_v)
+    assert np.array_equal(l1.model.A_m, model.A_m)
+    assert l1.model.K_g == model.K_g
+    assert np.array_equal(l1.model.b_stacked, model.b_stacked)
+
+
+def test_controllers_take_no_gains_or_model(params, gains, model):
+    with pytest.raises(TypeError):
+        L1Controller(params, gains, model, L1Config())
+    with pytest.raises(TypeError):
+        RrcController(params, gains)
+    with pytest.raises(TypeError):  # the law options are keyword-only
+        L1Controller(params, L1Config(), False)
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +116,8 @@ def test_rrc_equilibrium_passes_observer_torque_through(params, gains):
 # ---------------------------------------------------------------------------
 
 @pytest.fixture()
-def controller(params, gains, model):
-    ctl = L1Controller(params, gains, model, L1Config(), gravity_comp=False)
+def controller(params):
+    ctl = L1Controller(params, L1Config(), gravity_comp=False)
     ctl.reset(np.zeros(4))
     return ctl
 
@@ -137,8 +165,8 @@ def test_adaptation_zero_error_zero_estimates(controller):
 
 @settings(max_examples=40, deadline=None)
 @given(sigma=st.tuples(*[st.floats(-50, 50) for _ in range(4)]))
-def test_adaptation_inverts_one_step_hold_exactly(params, gains, model, sigma):
-    ctl = L1Controller(params, gains, model, L1Config(), gravity_comp=False)
+def test_adaptation_inverts_one_step_hold_exactly(params, model, sigma):
+    ctl = L1Controller(params, L1Config(), gravity_comp=False)
     ctl.reset(np.zeros(4))
     sigma = np.array(sigma)
     # plant truth: one hold interval of the nominal dynamics under sigma
@@ -265,9 +293,9 @@ def test_discrete_filter_poles_inside_unit_circle(controller):
     assert np.max(np.abs(np.linalg.eigvals(controller.Ad))) < 1.0
 
 
-def test_unstable_filter_rejected_at_construction(params, gains, model):
+def test_unstable_filter_rejected_at_construction(params):
     with pytest.raises(ValueError, match="unstable"):
-        L1Controller(params, gains, model, L1Config(T=1.0, K_a=10.0))
+        L1Controller(params, L1Config(T=1.0, K_a=10.0))
 
 
 def test_filter_bank_requires_full_relative_degree(params, gains, model):
@@ -283,17 +311,17 @@ def test_filter_bank_requires_full_relative_degree(params, gains, model):
 # full adaptive step and the reference system
 # ---------------------------------------------------------------------------
 
-def test_l1_step_idles_without_excitation(params, gains, model):
-    ctl = L1Controller(params, gains, model, L1Config(), gravity_comp=False)
+def test_l1_step_idles_without_excitation(params):
+    ctl = L1Controller(params, L1Config(), gravity_comp=False)
     ctl.reset(np.zeros(4))
     for _ in range(100):
         tau = ctl.step(np.zeros(4), 0.0, 0.0)[0]
         assert tau == 0.0
 
 
-def test_torque_limit_feeds_achieved_input_to_predictor(params, gains, model):
+def test_torque_limit_feeds_achieved_input_to_predictor(params, model):
     limit = 5.0
-    ctl = L1Controller(params, gains, model, L1Config(), gravity_comp=False,
+    ctl = L1Controller(params, L1Config(), gravity_comp=False,
                        torque_limit=limit)
     ctl.reset(np.zeros(4))
     # a large observer feedforward forces the clip on the very first step
@@ -304,8 +332,8 @@ def test_torque_limit_feeds_achieved_input_to_predictor(params, gains, model):
     assert np.max(np.abs(ctl.x_hat - expected)) < 1e-12
 
 
-def _reference(params, gains, model, cfg=L1Config()):
-    return ReferenceSystem(L1Controller(params, gains, model, cfg))
+def _reference(params, cfg=L1Config()):
+    return ReferenceSystem(L1Controller(params, cfg))
 
 
 def _start(ref, x0=(0.0,) * 4):
@@ -313,15 +341,15 @@ def _start(ref, x0=(0.0,) * 4):
     return np.concatenate([x0, np.zeros(len(ref._M) - 4)])
 
 
-def test_reference_system_holds_only_its_recurrence(params, gains, model):
-    ref = _reference(params, gains, model)
+def test_reference_system_holds_only_its_recurrence(params):
+    ref = _reference(params)
     assert set(vars(ref)) == {"_M", "_N"} and not hasattr(ref, "reset")
     s, u = _start(ref, np.arange(4.0)), np.arange(9.0)
     assert np.array_equal(ref.step(s, u), ref._M @ s + ref._N @ u)
 
 
-def test_reference_system_tracks_step_without_disturbance(params, gains, model):
-    ref = _reference(params, gains, model)
+def test_reference_system_tracks_step_without_disturbance(params):
+    ref = _reference(params)
     q_d = 1.2
     s, u = _start(ref), np.zeros(9)
     u[4] = q_d
@@ -332,7 +360,7 @@ def test_reference_system_tracks_step_without_disturbance(params, gains, model):
     assert abs(x_r[1]) < 1e-6
 
 
-def test_reference_system_respects_certified_bound(params, gains, model):
+def test_reference_system_respects_certified_bound(params, model):
     # the design condition certifies a peak bound for the reference state;
     # oracle: simulate under an in-envelope disturbance and take the max norm
     from sea_l1ac import StabilityBudget, check_stability_condition
@@ -340,7 +368,7 @@ def test_reference_system_respects_certified_bound(params, gains, model):
     budget = StabilityBudget(L_2=0.0, B_2=12.84)
     rep = check_stability_condition(model, L1Config(), budget, qd_peak=math.pi / 2)
     assert rep.satisfied and 100.0 > rep.rho_best
-    ref = _reference(params, gains, model)
+    ref = _reference(params)
     s, u = _start(ref), np.zeros(9)
     u[1:4] = (0.0, -12.84, 0.0)  # sigma2
     u[4] = math.pi / 2
@@ -405,12 +433,12 @@ _sample = st.tuples(_state, st.floats(-2, 2), st.floats(-50, 50))
     # 1 N m clips nearly every sample, 1e6 N m never does
     torque_limit=st.one_of(st.none(), st.sampled_from([1.0, 1e6]), st.floats(1.0, 500.0)),
 )
-def test_l1_step_reproduces_its_definition_bit_for_bit(params, gains, model, x0, samples,
-                                                       gravity_comp, torque_limit):
+def test_l1_step_reproduces_its_definition_bit_for_bit(params, x0, samples, gravity_comp,
+                                                       torque_limit):
     # recorded traces stay byte-identical only if step() rounds exactly as
     # the three methods do
     batched, plain = (
-        L1Controller(params, gains, model, L1Config(), gravity_comp=gravity_comp,
+        L1Controller(params, L1Config(), gravity_comp=gravity_comp,
                      torque_limit=torque_limit)
         for _ in range(2)
     )
@@ -436,10 +464,10 @@ def test_l1_step_reproduces_its_definition_bit_for_bit(params, gains, model, x0,
                   st.floats(-50, 50), st.tuples(*[st.floats(-50, 50)] * 3)),
         min_size=1, max_size=4),
 )
-def test_fused_reference_step_matches_unfused_formula(params, gains, model, x0, samples):
+def test_fused_reference_step_matches_unfused_formula(params, model, x0, samples):
     # the controller's filter and hold, stepped term by term; a wrong filter
     # state shows in x_r one sample later
-    ctl = L1Controller(params, gains, model, L1Config())
+    ctl = L1Controller(params, L1Config())
     ref = ReferenceSystem(ctl)
     s = _start(ref, np.array(x0))
     x_r, zf = np.array(x0), np.zeros(ctl.Ad.shape[0])
@@ -471,12 +499,11 @@ def test_fused_reference_step_matches_unfused_formula(params, gains, model, x0, 
 @example(T_s=1e-3, K_a=10.0, T_frac=0.5, n=4096, seed=3, walk=True)
 @example(T_s=5e-4, K_a=20.0, T_frac=1.0, n=4097, seed=4, walk=False)
 @example(T_s=5e-4, K_a=1.0, T_frac=0.0, n=20000, seed=5, walk=True)
-def test_reference_run_matches_a_loop_of_step(params, gains, model, T_s, K_a, T_frac, n,
-                                              seed, walk):
+def test_reference_run_matches_a_loop_of_step(params, T_s, K_a, T_frac, n, seed, walk):
     # C(s) is stable iff K_a T < 8/9 (Routh on s (T s + 1)^3 + K_a); T spans
     # 5 ms up to min(40 ms, 0.8 / K_a)
     T = 5e-3 + T_frac * (min(0.04, 0.8 / K_a) - 5e-3)
-    ref = _reference(params, gains, model, L1Config(T_s=T_s, T=T, K_a=K_a))
+    ref = _reference(params, L1Config(T_s=T_s, T=T, K_a=K_a))
     rng = np.random.default_rng(seed)
     scale = np.array([20.0, 5.0, 50.0, 5.0, 2.0, 50.0, 5.0, 50.0, 5.0])
     inputs = rng.standard_normal((n, 9)) * scale
@@ -495,5 +522,5 @@ def test_reference_run_matches_a_loop_of_step(params, gains, model, T_s, K_a, T_
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_reference_run_of_no_samples(params, gains, model):
-    assert _reference(params, gains, model).run(np.zeros(4), np.zeros((0, 9))).shape == (0, 4)
+def test_reference_run_of_no_samples(params):
+    assert _reference(params).run(np.zeros(4), np.zeros((0, 9))).shape == (0, 4)

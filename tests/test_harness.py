@@ -27,8 +27,6 @@ from sea_l1ac import (
     SuiteConfig,
     analytic_nominal_response,
     benchmark_params,
-    build_nominal_model,
-    build_rrc_gains,
     compute_metrics,
     export_plotscript,
     export_trace,
@@ -100,14 +98,11 @@ def _observer(g_ob=500.0, dt=1e-3):
 
 
 def _rrc(**kwargs):
-    params = benchmark_params()
-    return RrcController(params, build_rrc_gains(params), **kwargs)
+    return RrcController(benchmark_params(), **kwargs)
 
 
 def _l1(**kwargs):
-    params = benchmark_params()
-    gains = build_rrc_gains(params)
-    return L1Controller(params, gains, build_nominal_model(params, gains), L1Config(), **kwargs)
+    return L1Controller(benchmark_params(), L1Config(), **kwargs)
 
 
 @pytest.mark.parametrize("factory, kwargs, error", [
@@ -140,6 +135,8 @@ def _l1(**kwargs):
     (ScenarioConfig, {"controller": 3}, ConfigError),
     (ScenarioConfig, {"duration": 4e-4}, ConfigError),  # rounds to 0 steps of T_s = 1 ms
     (ScenarioConfig, {"duration": 0.01, "T_s": 0.02}, ConfigError),  # 0.5 rounds to 0
+    (ScenarioConfig, {"mass": "1.5"}, ConfigError),
+    (ScenarioConfig, {"duration": True}, ConfigError),
     (SuiteConfig, {"name": "../escaped", "scenarios": ()}, ConfigError),
     (EnvironmentModel, {"K_e": math.nan}, ValueError),
     (EnvironmentModel, {"K_e": math.inf}, ValueError),
@@ -192,7 +189,6 @@ def test_reference_error_compares_the_same_sample_instants(contact_stiffness):
     from sea_l1ac.controllers import (
         L1Controller, ReferenceSystem, ideal_motor_side_compensation,
     )
-    from sea_l1ac.nominal import build_nominal_model, build_rrc_gains
     from sea_l1ac.plant import _link_gravity_gains, _rk4_tuple, contact_torque, gravity_gain
 
     cfg = _quick(controller="l1ac-nogc", ideal_dob=True, substeps=1, mass=2.25,
@@ -200,10 +196,7 @@ def test_reference_error_compares_the_same_sample_instants(contact_stiffness):
                  contact_stiffness=contact_stiffness, contact_position=1.2)
     trace = run_scenario(cfg)
     params, env = cfg.make_params(), cfg.make_environment()
-    gains = build_rrc_gains(params)
-    model = build_nominal_model(params, gains)
-    ref = ReferenceSystem(L1Controller(params, gains, model,
-                                       L1Config(T_s=cfg.T_s, T=cfg.T, K_a=cfg.K_a)))
+    ref = ReferenceSystem(L1Controller(params, L1Config(T_s=cfg.T_s, T=cfg.T, K_a=cfg.K_a)))
     cols = ("q_rad", "dq_rad_per_s", "theta_rad", "dtheta_rad_per_s")
     xs = np.column_stack([trace[c] for c in cols])
     final = _rk4_tuple(tuple(xs[-1]), float(trace["tau_m_Nm"][-1]), cfg.T_s, params, env,
@@ -620,6 +613,25 @@ def test_rise_delay_keeps_the_first_of_two_tied_shifts():
         ties += 1
         assert _rise_delay(t, q, 1.0, 0.0, omega) == a * 1e-3
     assert ties >= 8
+
+
+@pytest.mark.parametrize("controller, mass", [("rrc", 1.5), ("l1ac", 0.75)])
+def test_mirrored_command_mirrors_the_metrics(controller, mass):
+    # every term of the plant and of both laws is odd in (q, theta, q_d), and
+    # IEEE rounding is symmetric under negation, so the runs mirror bit for
+    # bit; each mass gives its law an overshoot and a settling time to mirror
+    up, down = (compute_metrics(run_scenario(_quick(controller=controller, mass=mass,
+                                                    duration=1.5, q_d_amplitude=a)))
+                for a in (math.pi / 2, -math.pi / 2))
+    assert up.overshoot_pct > 0.0 and up.settling_time_s is not None
+    assert down.static_error_rad == -up.static_error_rad
+    for name in ("overshoot_pct", "settling_time_s", "rise_delay_s", "peak_current_permil"):
+        assert getattr(down, name) == getattr(up, name)
+
+
+def test_zero_command_has_no_transient():
+    report = compute_metrics(run_scenario(_quick(controller="rrc", q_d_amplitude=0.0)))
+    assert (report.overshoot_pct, report.settling_time_s, report.rise_delay_s) == (0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1241,6 +1253,31 @@ def test_cli_condition_rejects_an_empty_time_constant_list(tmp_path, capsys, val
     assert main(["analyze", "condition", str(cfgfile), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert '"error": "config"' in err and "[condition] filter_time_constants" in err
+    assert not out.exists()
+
+
+def test_cli_condition_names_the_file_and_the_row_too_stiff_to_certify(tmp_path, capsys):
+    cfgfile = tmp_path / "stiff.ini"
+    cfgfile.write_text("[condition]\nfilter_time_constants = 0.01, 0.02\nfilter_gain = 1e-6\n")
+    out = tmp_path / "an"
+    assert main(["analyze", "condition", str(cfgfile), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f'"error": "config", "detail": "{cfgfile}: T = 0.01: L1 norm too stiff' in err
+    assert not out.exists()
+
+
+def test_cli_condition_keeps_an_unstable_system_numeric(tmp_path, capsys, monkeypatch):
+    from sea_l1ac import analysis
+
+    def unstable(*args, **kwargs):
+        raise analysis.UnstableSystemError("impulse response does not decay")
+
+    cfgfile = tmp_path / "an.ini"
+    cfgfile.write_text("[condition]\n")
+    out = tmp_path / "an"
+    monkeypatch.setattr(analysis, "check_stability_condition", unstable)
+    assert main(["analyze", "condition", str(cfgfile), "--out-dir", str(out)]) == 3
+    assert '"detail": "impulse response does not decay"' in capsys.readouterr().err
     assert not out.exists()
 
 

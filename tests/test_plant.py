@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sea_l1ac import EnvironmentModel, contact_torque, gravity_gain
@@ -71,6 +71,14 @@ def test_gravity_odd_in_angle_and_linear_in_mass(params, q, mass, scale):
     assert _gravity(params, q, scale * mass) == pytest.approx(
         scale * g, rel=1e-12, abs=1e-12
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(mass=st.floats(0.0, 10.0))
+@example(mass=0.16432488188032993)  # where m_0 + (m - m_0) rounds off m
+def test_load_gravity_is_the_gain_of_the_load_mass(params, mass):
+    # the plant's load torque is the gain of m itself, whatever m_0 is
+    assert _link_gravity_gains(params.with_mass(mass), True)[1] == gravity_gain(params, mass)
 
 
 def test_disturbance_zero_without_mismatch_or_contact(params):
