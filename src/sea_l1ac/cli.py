@@ -42,7 +42,6 @@ from .harness import (
     run_suite,
     summary_table,
 )
-from .nominal import build_nominal_model, build_rrc_gains
 from .traceio import export_plotscript, export_table, export_trace, import_trace
 
 _EXIT_CODES = {"config": 2, "numeric": 3, "io": 4}
@@ -72,12 +71,11 @@ def _warn_condition(cfg: ScenarioConfig):
     if cfg.controller == "rrc":
         return
     params = cfg.make_params()
-    model = build_nominal_model(params, build_rrc_gains(params))
     budget = analysis.StabilityBudget.from_envelope(
         params, [cfg.mass], max_contact_stiffness=cfg.contact_stiffness,
         gravity_comp=cfg.gravity_feedforward)
     report = analysis.check_stability_condition(
-        model, L1Config(T_s=cfg.T_s, T=cfg.T, K_a=cfg.K_a), budget,
+        params, L1Config(T_s=cfg.T_s, T=cfg.T, K_a=cfg.K_a), budget,
         qd_peak=abs(cfg.q_d_amplitude),
     )
     if not report.satisfied:
@@ -138,14 +136,13 @@ def _cmd_analyze(args) -> int:
         rows = analysis.root_locus(job["params"].omega, job["lambdas"]).csv_rows()
     else:
         job = condition_job_from_ini(args.config)
-        model = build_nominal_model(job["params"], build_rrc_gains(job["params"]))
         rows = [[
             "T_s", "T", "K_a", "satisfied", "margin", "lhs", "rhs_best", "rho_best",
             "norm_G1", "norm_G2", "norm_Gd", "reason",
         ]]
         for cfg in job["configs"]:
             try:
-                rep = analysis.check_stability_condition(model, cfg, job["budget"],
+                rep = analysis.check_stability_condition(job["params"], cfg, job["budget"],
                                                          qd_peak=job["qd_peak"])
             except ValueError as exc:  # a row too stiff to certify; numeric errors pass
                 if _category(exc) != "config":

@@ -238,7 +238,7 @@ class L1Controller:
     load-deviation part to the adaptive estimates.
 
     The gains are ``build_rrc_gains(params)`` and the nominal model is the
-    closed loop of that same law, ``build_nominal_model(params, gains)``.
+    closed loop of that same law, ``build_nominal_model(params)``.
     """
 
     def __init__(self, params: PlantParams, cfg: L1Config, *, gravity_comp: bool = True,
@@ -246,7 +246,7 @@ class L1Controller:
         _check_law_options(gravity_comp, torque_limit)
         self.params = params
         self.gains = gains = build_rrc_gains(params)
-        self.model = model = build_nominal_model(params, gains)
+        self.model = model = build_nominal_model(params)
         self.cfg = cfg
         self.gravity_comp = gravity_comp
         self.torque_limit = torque_limit

@@ -7,7 +7,8 @@ The baseline position law places all four closed-loop poles at -omega via
 which, written as state feedback u1 = -K x over x = [q, q', theta, theta'],
 gives K = [-K_r K_f, 0, K_p + K_r K_f, K_v]. The resulting closed-loop
 matrix A_m together with the matched input column B_m, the unmatched columns
-B_um and the output row c form the model the adaptive layer predicts against.
+B_um and the output row c form ``build_nominal_model(params)``, the one model
+that the adaptive layer predicts against and the design condition certifies.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ class RrcGains:
     K_r: float
     K_v: float
     K: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "K", np.asarray(self.K, dtype=float))
 
 
 def build_rrc_gains(params: PlantParams) -> RrcGains:
@@ -68,18 +66,14 @@ class NominalModel:
         return np.column_stack([self.B_m, self.B_um])
 
 
-def build_nominal_model(params: PlantParams, gains: RrcGains) -> NominalModel:
+def build_nominal_model(params: PlantParams) -> NominalModel:
+    if not isinstance(params, PlantParams):  # say, a NominalModel passed for the plant
+        raise TypeError(f"the nominal model takes PlantParams, not {type(params).__name__}")
     B_m = np.array([0.0, 0.0, 0.0, 1.0])
-    A_m = open_loop_matrix(params) - np.outer(B_m, gains.K)
-    B_um = np.array([
-        [1.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0],
-        [0.0, 0.0, 0.0],
-    ])
+    A_m = open_loop_matrix(params) - np.outer(B_m, build_rrc_gains(params).K)
+    B_um = np.eye(4, 3)  # unmatched inputs enter the q, q' and theta rows
     c = np.array([1.0, 0.0, 0.0, 0.0])  # output is the link position q
-    eig = np.linalg.eigvals(A_m)
-    if np.max(eig.real) >= 0.0:
+    if np.max(np.linalg.eigvals(A_m).real) >= 0.0:
         raise ValueError("closed-loop matrix is not Hurwitz")
     try:
         dc = float(c @ np.linalg.solve(A_m, B_m))

@@ -14,5 +14,5 @@ def gains(params):
 
 
 @pytest.fixture(scope="session")
-def model(params, gains):
-    return build_nominal_model(params, gains)
+def model(params):
+    return build_nominal_model(params)

@@ -146,18 +146,18 @@ def test_criterion_5_root_locus(params):
                    f"conjugate pairs for all lambda>0: {conj}, stable to 1e4: {stable}")
 
 
-def test_criterion_6_filter_design_condition(params, model):
+def test_criterion_6_filter_design_condition(params):
     budget = StabilityBudget.from_envelope(params, MASSES)
     details, ok = [], True
     for t_filt in (0.005, 0.01, 0.02):
         rep = check_stability_condition(
-            model, L1Config(T_s=1e-3, T=t_filt, K_a=10.0), budget, qd_peak=QD)
+            params, L1Config(T_s=1e-3, T=t_filt, K_a=10.0), budget, qd_peak=QD)
         ok &= rep.satisfied and rep.margin > 0.0
         details.append(f"T={t_filt}: margin {rep.margin:.3g}")
     _report(6, ok, "; ".join(details) + " (all satisfied, positive)")
 
 
-def test_criterion_7_adaptation_exactness(params, gains, model):
+def test_criterion_7_adaptation_exactness(params, model):
     from sea_l1ac import L1Controller
 
     rng = np.random.default_rng(20240811)

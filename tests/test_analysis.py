@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sea_l1ac import (
+    ConditionReport,
     L1Config,
     L1Controller,
     ReferenceSystem,
@@ -22,7 +24,7 @@ from sea_l1ac import (
     polynomial_roots,
     root_locus,
 )
-from sea_l1ac import analysis, build_nominal_model, build_rrc_gains
+from sea_l1ac import analysis, build_nominal_model
 from sea_l1ac.analysis import (
     filtered_resolvent,
     hold_response,
@@ -87,7 +89,7 @@ def _scipy_expm(A, t=1.0):
 def _design_pieces():
     """The nine reference-loop pieces that configs/analysis.ini certifies."""
     job = condition_job_from_ini(_CONFIGS / "analysis.ini")
-    model = build_nominal_model(job["params"], build_rrc_gains(job["params"]))
+    model = build_nominal_model(job["params"])
     return [piece for cfg in job["configs"] for piece in reference_loop_pieces(model, cfg)]
 
 
@@ -514,40 +516,64 @@ def test_envelope_refuses_a_gravity_flag_that_is_not_a_bool(params, gravity_comp
 
 
 @pytest.mark.parametrize("qd_peak", [math.nan, math.inf, -math.inf])
-def test_condition_refuses_a_command_peak_that_is_not_finite(model, qd_peak):
+def test_condition_refuses_a_command_peak_that_is_not_finite(params, qd_peak):
     # nan used to pass as satisfied with rho_best = nan
     budget = StabilityBudget(L_2=1.0, B_2=1.0)
     with pytest.raises(ValueError, match="qd_peak must be finite"):
-        check_stability_condition(model, L1Config(), budget, qd_peak=qd_peak)
+        check_stability_condition(params, L1Config(), budget, qd_peak=qd_peak)
 
 
-def test_condition_trivially_satisfied_without_state_dependence(model, params):
+def test_model_and_condition_take_the_plant_constants_alone(params, gains, model):
+    with pytest.raises(TypeError):
+        build_nominal_model(params, gains)
+    with pytest.raises(TypeError):
+        check_stability_condition(model, L1Config(), StabilityBudget())
+
+
+@pytest.mark.parametrize("plant", [{}, {"J_a": 0.5, "K_f": 100.0}], ids=["benchmark", "override"])
+def test_condition_certifies_the_model_the_controller_predicts_against(params, plant):
+    # oracle: the report's closed form over the norms of the controller's own
+    # model, so the certificate and the controller read one model
+    plant_params, cfg = replace(params, **plant), L1Config()
+    budget, qd_peak = StabilityBudget(L_2=0.05, B_2=1.5), 1.2
+    model = L1Controller(plant_params, cfg).model
+    n1, n2, nd = (l1_norm(*g) for g in reference_loop_pieces(model, cfg))
+    rhs = 1.0 / budget.L_2
+    expected = ConditionReport(
+        satisfied=True, margin=rhs - n2, lhs=n2, rhs_best=rhs,
+        rho_best=(nd * abs(model.K_g) * qd_peak + n2 * budget.B_2) / (1.0 - n2 * budget.L_2),
+        norm_g1=n1, norm_g2=n2, norm_gd=nd)
+    assert n2 * budget.L_2 < 1.0
+    assert check_stability_condition(plant_params, cfg, budget, qd_peak=qd_peak) == expected
+
+
+def test_condition_trivially_satisfied_without_state_dependence(params):
     budget = StabilityBudget(L_2=0.0, B_2=12.8)
-    rep = check_stability_condition(model, L1Config(), budget)
+    rep = check_stability_condition(params, L1Config(), budget)
     assert rep.satisfied and rep.margin > 0.0
 
 
-def test_condition_default_envelope_satisfied(model, params):
+def test_condition_default_envelope_satisfied(params):
     budget = StabilityBudget.from_envelope(params, [0.75, 1.5, 2.25])
-    rep = check_stability_condition(model, L1Config(), budget)
+    rep = check_stability_condition(params, L1Config(), budget)
     assert rep.satisfied
     assert rep.margin > 0.0
     assert 0.5 < rep.norm_g2 < 20.0
 
 
-def test_envelope_without_gravity_compensation_charges_the_full_load(model, params):
+def test_envelope_without_gravity_compensation_charges_the_full_load(params):
     masses = [0.75, 1.5, 2.25]
     full = StabilityBudget.from_envelope(params, masses, gravity_comp=False)
     assert full.B_2 == (max(masses) / params.m_0) * params.G_0 / params.J_a
     compensated = StabilityBudget.from_envelope(params, masses)
     assert full.B_2 > compensated.B_2
-    rho = [check_stability_condition(model, L1Config(), b).rho_best for b in (full, compensated)]
+    rho = [check_stability_condition(params, L1Config(), b).rho_best for b in (full, compensated)]
     assert rho[0] >= rho[1]
 
 
-def test_condition_violated_for_sluggish_filter(model, params):
+def test_condition_violated_for_sluggish_filter(params):
     budget = StabilityBudget.from_envelope(params, [0.75, 1.5, 2.25])
-    rep = check_stability_condition(model, L1Config(T=1.0, K_a=10.0), budget)
+    rep = check_stability_condition(params, L1Config(T=1.0, K_a=10.0), budget)
     assert not rep.satisfied
     assert rep.reason == "closed filter C(s) unstable"
 
@@ -569,12 +595,11 @@ _EDGE = 8 / 9
 @pytest.mark.parametrize("T", [2.0**-5, 2.0**-2])  # so K_a T is exactly the product below
 @pytest.mark.parametrize("product", [0.5 * _EDGE, 0.9 * _EDGE, math.nextafter(_EDGE, 0.0), _EDGE,
                                      math.nextafter(_EDGE, 1.0), 1.1 * _EDGE, 2.0 * _EDGE])
-def test_controller_and_condition_share_the_filter_stability_boundary(params, model, T,
-                                                                      product):
+def test_controller_and_condition_share_the_filter_stability_boundary(params, T, product):
     cfg = L1Config(T=T, K_a=product / T)
     assert cfg.K_a * T == product
     try:
-        rep = check_stability_condition(model, cfg, StabilityBudget())
+        rep = check_stability_condition(params, cfg, StabilityBudget())
     except ValueError as exc:
         # one ulp inside the boundary the filter is stable but so lightly
         # damped that the norms refuse to march it
@@ -594,7 +619,7 @@ _TUNINGS = [(0.01, 10.0), (0.005, 40.0), (0.02, 10.0)]
 _L1_NORMS = {}  # pure values of l1_norm, keyed by the system's bytes
 
 
-def _check_once(model, cfg, budget, qd_peak=math.pi / 2):
+def _check_once(params, cfg, budget, qd_peak=math.pi / 2):
     """check_stability_condition with the three L1 norms of each tuning
     computed once: the property below calls it hundreds of times."""
     def cached_l1_norm(A, B, C):
@@ -604,7 +629,7 @@ def _check_once(model, cfg, budget, qd_peak=math.pi / 2):
         return _L1_NORMS[key]
 
     with mock.patch.object(analysis, "l1_norm", cached_l1_norm):
-        return check_stability_condition(model, cfg, budget, qd_peak=qd_peak)
+        return check_stability_condition(params, cfg, budget, qd_peak=qd_peak)
 
 
 @settings(max_examples=150, deadline=None)
@@ -614,12 +639,13 @@ def _check_once(model, cfg, budget, qd_peak=math.pi / 2):
     B_2=st.floats(0.0, 10.0),
     qd=st.floats(0.01, 3.0),
 )
-def test_rho_best_is_the_least_bound_the_fixed_candidate_certifies(model, tuning, load, B_2, qd):
+def test_rho_best_is_the_least_bound_the_fixed_candidate_certifies(params, model, tuning, load,
+                                                                   B_2, qd):
     # load = lhs L_2: the condition holds exactly when it is below 1
     cfg = L1Config(T=tuning[0], K_a=tuning[1])
-    norms = _check_once(model, cfg, StabilityBudget(), qd)
+    norms = _check_once(params, cfg, StabilityBudget(), qd)
     L_2 = load / norms.norm_g2
-    rep = _check_once(model, cfg, StabilityBudget(L_2=L_2, B_2=B_2), qd)
+    rep = _check_once(params, cfg, StabilityBudget(L_2=L_2, B_2=B_2), qd)
     assert rep.reason == ""
     assert rep.lhs == rep.norm_g2
     assert rep.satisfied == (load < 1.0)
@@ -642,11 +668,11 @@ def test_rho_best_is_the_least_bound_the_fixed_candidate_certifies(model, tuning
         assert not certified(1e12)
 
 
-def test_condition_charges_the_command_against_the_bound(model):
+def test_condition_charges_the_command_against_the_bound(params):
     # the command's share ||G_d|| |K_g| |q_d| is about 11 at the default
     # tuning, so neither candidate leaves room for it
     for b2, rho in [(0.5, 2.0), (0.0, 1.0)]:
-        rep = check_stability_condition(model, L1Config(), StabilityBudget(B_2=b2))
+        rep = check_stability_condition(params, L1Config(), StabilityBudget(B_2=b2))
         certified = rep.satisfied and rho > rep.rho_best
         assert not certified and rep.rho_best - rho > 0.0
 
@@ -666,7 +692,7 @@ def _reference_peak(ref, b2, n=2000):
 
 
 @pytest.mark.parametrize("T, K_a", _TUNINGS)
-def test_certified_bound_holds_in_the_reference_system(params, model, T, K_a):
+def test_certified_bound_holds_in_the_reference_system(params, T, K_a):
     # Whenever the check certifies rho_r for |sigma2|_inf <= B_2 and a
     # pi/2 step command, the reference system driven by such disturbances
     # stays within it.
@@ -675,7 +701,7 @@ def test_certified_bound_holds_in_the_reference_system(params, model, T, K_a):
     certified = 0
     for b2 in (0.0, 0.5, 2.0):
         peak = _reference_peak(ref, b2)
-        rep = check_stability_condition(model, cfg, StabilityBudget(B_2=b2))
+        rep = check_stability_condition(params, cfg, StabilityBudget(B_2=b2))
         for rho in (1.0, 2.0, 5.0, 12.0, 20.0, 50.0):
             if rep.satisfied and rho > rep.rho_best:
                 certified += 1
@@ -691,11 +717,11 @@ _G2_DEFECT = pytest.mark.xfail(
 
 @pytest.mark.parametrize("T, K_a", [
     (0.01, 10.0), pytest.param(0.005, 40.0, marks=_G2_DEFECT), (0.02, 10.0)])
-def test_least_certified_bound_holds_in_the_reference_system(params, model, T, K_a):
+def test_least_certified_bound_holds_in_the_reference_system(params, T, K_a):
     cfg = L1Config(T=T, K_a=K_a)
     ref = ReferenceSystem(L1Controller(params, cfg))
     for b2 in (0.0, 0.5, 2.0):
-        rep = check_stability_condition(model, cfg, StabilityBudget(B_2=b2))
+        rep = check_stability_condition(params, cfg, StabilityBudget(B_2=b2))
         assert rep.satisfied
         assert _reference_peak(ref, b2) <= rep.rho_best, (b2, rep.rho_best)
 

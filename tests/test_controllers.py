@@ -91,7 +91,7 @@ def test_rrc_equilibrium_passes_observer_torque_through(params):
 def test_controllers_derive_gains_and_model_from_the_plant(params, plant):
     plant_params = replace(params, **plant)
     gains = build_rrc_gains(plant_params)
-    model = build_nominal_model(plant_params, gains)
+    model = build_nominal_model(plant_params)
     rrc = RrcController(plant_params)
     l1 = L1Controller(plant_params, L1Config())
     for ctl in (rrc, l1):
@@ -190,7 +190,7 @@ def test_hold_integral_approaches_identity_for_tiny_period(model):
     assert dev[5e-7] == pytest.approx(0.5 * dev[1e-6], rel=0.05)
 
 
-def test_adaptation_flags_misconfigured_period(params, gains, model):
+def test_adaptation_flags_misconfigured_period():
     with pytest.raises(ValueError):
         L1Config(T_s=0.0)
     with pytest.raises(ValueError):
@@ -258,7 +258,7 @@ def test_realized_filter_matches_analytic_frequency_response(params, plant):
     # rad/s) has unmatched numerators whose leading 1.0 is below 1e-9 of
     # their largest coefficient; dropping it cost 2.0e-4 relative.
     plant_params = replace(params, **plant)
-    model = build_nominal_model(plant_params, build_rrc_gains(plant_params))
+    model = build_nominal_model(plant_params)
     cfg = L1Config()
     num, den = shaping_filter_polynomials(cfg.T, cfg.K_a)
     bank = build_filter_bank(model, cfg)
@@ -298,7 +298,7 @@ def test_unstable_filter_rejected_at_construction(params):
         L1Controller(params, L1Config(T=1.0, K_a=10.0))
 
 
-def test_filter_bank_requires_full_relative_degree(params, gains, model):
+def test_filter_bank_requires_full_relative_degree(model):
     velocity_out = NominalModel(
         A_m=model.A_m, B_m=model.B_m, B_um=model.B_um,
         c=np.array([0.0, 0.0, 0.0, 1.0]), K_g=model.K_g,
@@ -360,13 +360,13 @@ def test_reference_system_tracks_step_without_disturbance(params):
     assert abs(x_r[1]) < 1e-6
 
 
-def test_reference_system_respects_certified_bound(params, model):
+def test_reference_system_respects_certified_bound(params):
     # the design condition certifies a peak bound for the reference state;
     # oracle: simulate under an in-envelope disturbance and take the max norm
     from sea_l1ac import StabilityBudget, check_stability_condition
 
     budget = StabilityBudget(L_2=0.0, B_2=12.84)
-    rep = check_stability_condition(model, L1Config(), budget, qd_peak=math.pi / 2)
+    rep = check_stability_condition(params, L1Config(), budget, qd_peak=math.pi / 2)
     assert rep.satisfied and 100.0 > rep.rho_best
     ref = _reference(params)
     s, u = _start(ref), np.zeros(9)

@@ -1,6 +1,8 @@
+import ast
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -380,7 +382,7 @@ def test_export_header_lists_exact_columns(tmp_path):
     assert lines[1] == ",".join(TRACE_COLUMNS)
 
 
-def test_current_column_is_torque_over_kt(tmp_path):
+def test_current_column_is_torque_over_kt():
     trace = run_scenario(_quick(duration=0.2))
     k_t = benchmark_params().K_t
     assert np.allclose(trace["current_permil"], trace["tau_m_Nm"] / k_t, rtol=1e-12)
@@ -436,7 +438,7 @@ def test_metrics_flags_unsettled_trace(params):
     assert compute_metrics(trace).settling_time_s is None
 
 
-def test_metrics_empty_trace_rejected(params):
+def test_metrics_empty_trace_rejected():
     trace = _trace_from_q(np.zeros(0), np.zeros(0), {"q_d_amplitude": 1.0,
                                                      "q_d_start": 0.0})
     with pytest.raises(ValueError):
@@ -1061,6 +1063,38 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_the_one_scipy_import_is_the_hold_pairs():
+    # the import inside hold_response, and none at module level: an AST scan
+    # of the package source
+    found = []
+    for path in sorted(Path(sea_l1ac.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions first, so the innermost wins
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                found.append((path.name, owner.get(node)))
+    assert found == [("analysis.py", "hold_response")]
+
+
+@pytest.mark.parametrize("what", ["condition", "rootlocus"])
+def test_cli_design_tables_do_not_depend_on_the_blas_thread_count(tmp_path, what):
+    # one OpenBLAS thread in a fresh interpreter, the default pool in this one
+    src = str(Path(sea_l1ac.__file__).resolve().parents[1])
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "analysis.ini")
+    argv = ["analyze", what, config, "--out-dir"]
+    subprocess.run([sys.executable, "-m", "sea_l1ac.cli", *argv, str(tmp_path / "one")],
+                   capture_output=True, check=True, cwd=src,
+                   env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert main([*argv, str(tmp_path / "default")]) == 0
+    one, default = (tmp_path / d / f"{what}.csv" for d in ("one", "default"))
+    assert one.read_bytes() == default.read_bytes()
+
+
 def _scipy_probe_argv(tmp_path, case):
     """Command-line arguments for one case of the scipy-loading test."""
     configs = Path(__file__).resolve().parents[1] / "configs"
@@ -1266,6 +1300,21 @@ def test_cli_condition_names_the_file_and_the_row_too_stiff_to_certify(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, named", [
+    ("max_contact_stiffness = -5\n", "max contact stiffness -5.0 "),
+    ("masses = 1e308\n", "test masses [1e+308] "),
+], ids=["stiffness", "masses"])
+def test_cli_condition_names_the_envelope_value_it_refuses(tmp_path, capsys, line, named):
+    # not the internal bound (L_2 or B_2) that the value would have made
+    cfgfile = tmp_path / "envelope.ini"
+    cfgfile.write_text("[condition]\n" + line)
+    out = tmp_path / "an"
+    assert main(["analyze", "condition", str(cfgfile), "--out-dir", str(out)]) == 2
+    detail = json.loads(capsys.readouterr().err.splitlines()[-1])["detail"]
+    assert detail.startswith(f"{cfgfile}: ") and named in detail
+    assert not out.exists()
+
+
 def test_cli_condition_keeps_an_unstable_system_numeric(tmp_path, capsys, monkeypatch):
     from sea_l1ac import analysis
 
@@ -1290,7 +1339,7 @@ def test_condition_time_constants_keep_the_default_when_absent_or_blank(tmp_path
     assert [c.T for c in condition_job_from_ini(cfgfile)["configs"]] == [0.005, 0.01, 0.02]
 
 
-def test_cli_analyze(tmp_path, capsys):
+def test_cli_analyze(tmp_path):
     cfgfile = tmp_path / "an.ini"
     cfgfile.write_text(
         "[rootlocus]\nlambda_min = 1.0\nlambda_max = 100.0\npoints = 5\n"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ def test_natural_frequency_matches_reported_value(params, gains):
     assert gains.K_v == 4.0 * params.omega
 
 
-def test_gain_formulas(params, gains):
+def test_gain_formulas(gains):
     # oracles: direct arithmetic from the parameter set
     assert gains.K_p == pytest.approx(125.478 / 0.345, rel=1e-12)
     assert gains.K_r == pytest.approx(4.0 / 0.345, rel=1e-12)
@@ -79,7 +81,7 @@ def test_characteristic_polynomial_is_binomial_quartic(params, model):
     assert np.max(np.abs(got - expected) / expected) < 1e-6
 
 
-def test_feedforward_gain(params, gains, model):
+def test_feedforward_gain(gains, model):
     # oracle: direct numeric evaluation of -(c A_m^-1 B_m)^-1
     direct = -1.0 / float(model.c @ np.linalg.inv(model.A_m) @ model.B_m)
     assert model.K_g == pytest.approx(direct, rel=1e-12)
@@ -101,7 +103,7 @@ def test_first_order_transfer():
     assert np.allclose(np.polyval(num, s) / np.polyval(den, s), 1.0 / (s + 1.0), rtol=1e-12)
 
 
-def test_matched_transfer_shape(params, gains, model):
+def test_matched_transfer_shape(gains, model):
     num, den = transfer_from_state_space(model.A_m, model.B_m, model.c)
     # relative degree 4: a constant numerator over the quartic
     assert len(np.trim_zeros(num, "f")) == 1 and len(den) == 5
@@ -125,12 +127,20 @@ def test_transfer_matches_resolvent_on_frequency_grid(model):
 
 
 def test_model_rejects_degenerate_feedback(params):
-    # zero feedback leaves the open-loop double integrator: not Hurwitz
-    from sea_l1ac import RrcGains
+    # K_f / J_a underflows to 0, so every gain but K_r is 0 and K is the zero
+    # row: the open-loop double integrator, which is not Hurwitz
+    degenerate = replace(params, K_f=1e-300, J_a=1e300)
+    assert not build_rrc_gains(degenerate).K.any()
+    with pytest.raises(ValueError, match="Hurwitz"):
+        build_nominal_model(degenerate)
 
-    no_feedback = RrcGains(K_p=0.0, K_r=0.0, K_v=0.0, K=np.zeros(4))
-    with pytest.raises(ValueError):
-        build_nominal_model(params, no_feedback)
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_model_overflow_is_a_linear_algebra_error(params):
+    # K_f / J_a overflows to inf, 0 * inf puts nan in A_m, and the eigenvalue
+    # solver refuses it
+    with pytest.raises(np.linalg.LinAlgError):
+        build_nominal_model(replace(params, K_f=1e300, J_a=1e-300))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
