@@ -417,13 +417,14 @@ class StabilityBudget:
             worst = max(abs(m - params.m_0) for m in masses)
         else:
             worst = max(abs(m) for m in masses)
-        if not 0.0 <= max_contact_stiffness < math.inf:  # nan fails too
-            raise ValueError(f"max contact stiffness {max_contact_stiffness!r} "
-                             "must be nonnegative and finite")
+        l2 = max_contact_stiffness / params.J_a
+        if not 0.0 <= l2 < math.inf:  # a negative, infinite or nan stiffness, or overflow
+            raise ValueError(f"max contact stiffness {max_contact_stiffness!r} over "
+                             f"J_a = {params.J_a!r} is not nonnegative and finite")
         b2 = (worst / params.m_0) * params.G_0 / params.J_a
         if not b2 < math.inf:  # overflow; nan fails too
             raise ValueError(f"test masses {masses} give a gravity bound B_2 that is not finite")
-        return StabilityBudget(L_2=max_contact_stiffness / params.J_a, B_2=b2)
+        return StabilityBudget(L_2=l2, B_2=b2)
 
 
 @dataclass(frozen=True)

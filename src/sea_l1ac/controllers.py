@@ -11,8 +11,10 @@ The adaptive layer runs three pieces once per sample period T_s:
   3. prediction: advance x_hat by the exact matrix-exponential discretization
      of the nominal model with all inputs held over the step.
 
-The hold pair (E, Phi), the polynomials of C(s) and the canonical-form
-realization come from ``analysis``, shared with the design checks.
+The predictor and the filter bank take the plant constants and read
+``build_nominal_model(params)``, whose inputs [B_m B_um] are the fixed
+identity columns [e4 e1 e2 e3]. The hold pair (E, Phi), the polynomials of
+C(s) and the canonical-form realization come from ``analysis``.
 
 ``L1Controller.step`` runs the three pieces with the matrix products
 batched into four numpy calls and the rest in scalar arithmetic, in the
@@ -33,7 +35,8 @@ unmatched estimate, and the known gravity inputs of the reference system
 last five.
 
 Controller instances are single-writer mutable state; independent instances
-may run concurrently.
+may run concurrently. An ``L1Controller`` starts from zero state and
+estimates and has no reset: each run builds its own.
 """
 
 from __future__ import annotations
@@ -50,9 +53,8 @@ from .analysis import (
     shaping_filter_polynomials,
     shaping_filter_stable,
 )
-from .nominal import NominalModel, build_nominal_model, build_rrc_gains, transfer_from_state_space
+from .nominal import build_nominal_model, build_rrc_gains, transfer_from_state_space
 from .params import PlantParams
-from .plant import gravity_gain
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +130,13 @@ class RrcController:
         self.gains = build_rrc_gains(params)
         self.gravity_comp = gravity_comp
         self.torque_limit = torque_limit
-        self._gravity_gain = gravity_gain(params, params.m_0)
 
     def step(self, x, q_d: float, tau_dob: float) -> tuple:
         """One control sample; returns the step record (module docstring).
         ``x`` is (q, q', theta, theta') as any 4-sequence."""
         p, k = self.params, self.gains
         q, _, theta, dtheta = x
-        gravity_est = self._gravity_gain * math.sin(q) if self.gravity_comp else 0.0
+        gravity_est = p.G_0 * math.sin(q) if self.gravity_comp else 0.0
         theta_d = q_d + gravity_est / p.K_f
         u = (
             k.K_p * (theta_d - theta)
@@ -170,48 +171,38 @@ class L1Config:
             raise ValueError("K_a must be positive")
 
 
-def build_filter_bank(model: NominalModel, cfg: L1Config):
+def build_filter_bank(params: PlantParams, cfg: L1Config):
     """Continuous realization of the four command-filter channels.
 
     Inputs are [sigma1_hat - K_g q_d, sigma2_hat(0..2)], the single output is
     the quantity the control law negates: C(s) applied to the first input and
     C(s) H_m^-1(s) H_um(s) applied to the unmatched estimates. All four
-    channels share the denominator of C(s) once the model's common
-    denominator cancels inside H_m^-1 H_um, which requires the matched
-    numerator to be a constant (full relative degree from the matched input
-    to the output). The numerators are trimmed of exact leading zeros only,
-    so a small but real leading coefficient is kept. Raises ValueError when
-    a channel would be improper or the closed filter is unstable.
+    channels share the denominator of C(s): the matched numerator of
+    ``build_nominal_model(params)`` is a constant, so the model's denominator
+    cancels inside H_m^-1 H_um. The numerators are trimmed of exact leading
+    zeros only, so a small but real leading coefficient is kept. Raises
+    ValueError when the closed filter is unstable.
     """
     if not shaping_filter_stable(cfg.T, cfg.K_a):
         raise ValueError("closed low-pass filter C(s) is unstable for this (T, K_a)")
     num_c, den = shaping_filter_polynomials(cfg.T, cfg.K_a)
-
-    nums, den_hm = transfer_from_state_space(model.A_m, model.b_stacked, model.c)
-    num_m = np.trim_zeros(nums[0], "f")
-    if len(num_m) != 1:
-        raise ValueError(
-            "matched channel does not have full relative degree; the combined "
-            "filter C(s) H_m^-1(s) H_um(s) cannot be realized over C's denominator"
-        )
-    # properness of C(s) H_m^-1(s): relative degree of den(C) against den(A_m)
-    if len(den) < len(den_hm):
-        raise ValueError("C(s) H_m^-1(s) is improper for this filter order")
-
+    model = build_nominal_model(params)
+    nums, _ = transfer_from_state_space(model.A_m, model.b_stacked, model.c)
+    (num_m,) = np.trim_zeros(nums[0], "f")  # full relative degree: one coefficient
     # strictly proper: a trimmed numerator has at most n coefficients, len(den) > n
-    numerators = [num_c] + [cfg.K_a * np.trim_zeros(num_um, "f") / num_m[0]
+    numerators = [num_c] + [cfg.K_a * np.trim_zeros(num_um, "f") / num_m
                             for num_um in nums[1:]]
     return observable_realization(numerators, den)
 
 
-def discretize_filter_bank(model: NominalModel, cfg: L1Config):
+def discretize_filter_bank(params: PlantParams, cfg: L1Config):
     """Bilinear (trapezoidal) discretization of the command filters at T_s.
 
     The bilinear map preserves the DC gain exactly, which is what makes the
     steady-state cancellation identities hold in discrete time. Discrete
     poles are verified to lie strictly inside the unit circle.
     """
-    A, B, C, D = build_filter_bank(model, cfg)
+    A, B, C, D = build_filter_bank(params, cfg)
     ima = np.eye(A.shape[0]) - 0.5 * cfg.T_s * A
     Ad = solve(ima, np.eye(A.shape[0]) + 0.5 * cfg.T_s * A)
     Bd = solve(ima, cfg.T_s * B)
@@ -247,7 +238,6 @@ class L1Controller:
         self.params = params
         self.gains = gains = build_rrc_gains(params)
         self.model = model = build_nominal_model(params)
-        self.cfg = cfg
         self.gravity_comp = gravity_comp
         self.torque_limit = torque_limit
 
@@ -256,8 +246,7 @@ class L1Controller:
             self._zoh_inverse = np.linalg.inv(self.Phi @ model.b_stacked)
         except np.linalg.LinAlgError as exc:
             raise ValueError("singular hold response; check T_s and the plant constants") from exc
-        self.Ad, self.Bd, self.Cd, self.Dd = discretize_filter_bank(model, cfg)
-        self._gravity_gain = gravity_gain(params, params.m_0)
+        self.Ad, self.Bd, self.Cd, self.Dd = discretize_filter_bank(params, cfg)
 
         # step() batches the definition's matrix products. In a batched
         # matmul numpy multiplies each item with the BLAS call that item alone
@@ -272,28 +261,12 @@ class L1Controller:
         self._dots = self._buf[8:].reshape(3, 4, 1)
         self._start_maps = np.stack([-self._zoh_inverse, self.E, self.Ad])
         self._dot_rows = np.stack([self.Cd, gains.K[None, :], self.Dd])
-        # [B_m B_um] is the identity columns [e4 e1 e2 e3], so row r of
-        # B_m * matched + B_um @ unmatched is input route[r] of (matched,
-        # *unmatched) plus exact zeros, which only turn -0.0 into 0.0
-        self._route = tuple(int(j) for j in np.argmax(model.b_stacked, axis=1))
-        self.reset(np.zeros(4))
+        self.sigma1_hat, self.sigma2_hat = 0.0, np.zeros(3)
 
     @property
     def x_hat(self) -> np.ndarray:
         """Predictor state; a view that each sample updates in place."""
         return self._x_hat
-
-    @x_hat.setter
-    def x_hat(self, value):
-        self._x_hat[:] = value
-
-    def reset(self, x0):
-        """Start from a measured state (any 4-sequence): zero prediction
-        error, zero estimates."""
-        self._buf[:] = 0.0
-        self.x_hat = x0
-        self.sigma1_hat = 0.0
-        self.sigma2_hat = np.zeros(3)
 
     # -- the three per-sample operations: the definition of step() ----------
 
@@ -324,10 +297,10 @@ class L1Controller:
         matched = u2 + matched_known + self.sigma1_hat
         unmatched = self.sigma2_hat if unmatched_known is None \
             else self.sigma2_hat + unmatched_known
-        self.x_hat = self.E @ self.x_hat + self.Phi @ (
+        self._x_hat[:] = self.E @ self._x_hat + self.Phi @ (
             self.model.B_m * matched + self.model.B_um @ unmatched
         )
-        return self.x_hat
+        return self._x_hat
 
     # -----------------------------------------------------------------------
 
@@ -357,7 +330,7 @@ class L1Controller:
         u1 = -k_x
 
         if self.gravity_comp:
-            g = self._gravity_gain
+            g = p.G_0
             u_gc = (self.gains.K_p * (g * math.sin(q_d)) / p.K_f
                     + self.gains.K_r * (g * math.sin(h0)))
             g_ff1 = -(g * math.sin(x0)) / p.J_a
@@ -368,9 +341,9 @@ class L1Controller:
             tau_m = min(max(tau_m, -self.torque_limit), self.torque_limit)
         u2_effective = (tau_m - tau_dob) / p.J_m - u1 - u_gc
 
-        inputs = (u2_effective + u_gc + s0, s1, s2 + g_ff1, s3)
-        r0, r1, r2, r3 = self._route
-        drive = (inputs[r0] + 0.0, inputs[r1] + 0.0, inputs[r2] + 0.0, inputs[r3] + 0.0)
+        # [B_m B_um] is the identity columns [e4 e1 e2 e3]; the + 0.0 turns
+        # -0.0 into 0.0, as the exact zeros of predictor_step's sum do
+        drive = (s1 + 0.0, (s2 + g_ff1) + 0.0, s3 + 0.0, (u2_effective + u_gc + s0) + 0.0)
         d0, d1, d2, d3 = (self.Phi @ drive).tolist()
         buf[4:12] = (e0 + d0, e1 + d1, e2 + d2, e3 + d3,  # x_hat
                      a0 + b0, a1 + b1, a2 + b2, a3 + b3)  # z_f

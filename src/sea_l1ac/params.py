@@ -41,6 +41,8 @@ class PlantParams:
                 raise ValueError(f"{name} must be nonnegative and finite")
         if not -math.inf < self.G_0 < math.inf:
             raise ValueError("G_0 must be finite")
+        if not 0.0 < self.K_f / self.J_a < math.inf:  # under- or overflow
+            raise ValueError(f"K_f / J_a = {self.K_f!r} / {self.J_a!r} is not positive and finite")
 
     @property
     def omega(self) -> float:

@@ -47,7 +47,7 @@ def _link_gravity_gains(params: PlantParams, gravity_on: bool):
     # (nominal, actual load) gravity gains, or None with gravity off
     if not gravity_on:
         return None
-    return gravity_gain(params, params.m_0), gravity_gain(params, params.m)
+    return params.G_0, gravity_gain(params, params.m)
 
 
 def _derivative(q, dq, theta, dtheta, tau_m, params, env, gravity_gains):

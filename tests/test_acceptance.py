@@ -178,7 +178,6 @@ def test_criterion_7_adaptation_exactness(params, model):
             k4 = f(x + h * k3)
             x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         ctl = L1Controller(params, L1Config(), gravity_comp=False)
-        ctl.reset(np.zeros(4))
         ctl.predictor_step(0.0)
         s1, s2 = ctl.adaptation_update(ctl.x_hat - x)
         rel = np.max(np.abs(np.array([s1, *s2]) - sigma)) / max(1.0, np.max(np.abs(sigma)))

@@ -19,7 +19,6 @@ from sea_l1ac import (
 )
 from sea_l1ac.analysis import observable_realization, shaping_filter_polynomials
 from sea_l1ac.controllers import build_filter_bank, discretize_filter_bank
-from sea_l1ac.nominal import NominalModel
 
 
 def _dc_gain(tf):
@@ -117,9 +116,7 @@ def test_controllers_take_no_gains_or_model(params, gains, model):
 
 @pytest.fixture()
 def controller(params):
-    ctl = L1Controller(params, L1Config(), gravity_comp=False)
-    ctl.reset(np.zeros(4))
-    return ctl
+    return L1Controller(params, L1Config(), gravity_comp=False)
 
 
 def test_predictor_stays_at_origin(controller):
@@ -141,7 +138,7 @@ def _rk4_linear(model, x, u2, sigma1, sigma2, dt, substeps=64):
 
 
 def test_predictor_matches_fine_integration(controller, model):
-    controller.x_hat = np.array([0.1, -0.4, 0.2, 1.0])
+    controller.x_hat[:] = [0.1, -0.4, 0.2, 1.0]
     u2 = 2.5
     expected = _rk4_linear(model, controller.x_hat.copy(), u2, 0.0, np.zeros(3), 1e-3)
     got = controller.predictor_step(u2)
@@ -150,7 +147,7 @@ def test_predictor_matches_fine_integration(controller, model):
 
 def test_prediction_error_stays_zero_for_identical_dynamics(controller, model):
     x = np.array([0.2, 0.0, -0.1, 0.5])
-    controller.x_hat = x.copy()
+    controller.x_hat[:] = x
     for _ in range(20):
         x = controller.E @ x + controller.Phi @ (model.B_m * 1.3)
         controller.predictor_step(1.3)
@@ -167,7 +164,6 @@ def test_adaptation_zero_error_zero_estimates(controller):
 @given(sigma=st.tuples(*[st.floats(-50, 50) for _ in range(4)]))
 def test_adaptation_inverts_one_step_hold_exactly(params, model, sigma):
     ctl = L1Controller(params, L1Config(), gravity_comp=False)
-    ctl.reset(np.zeros(4))
     sigma = np.array(sigma)
     # plant truth: one hold interval of the nominal dynamics under sigma
     x_true = _rk4_linear(model, np.zeros(4), 0.0, sigma[0], sigma[1:], 1e-3, substeps=128)
@@ -232,14 +228,14 @@ def test_filter_dc_identity_unmatched_cancellation(controller, model):
     K_a=st.floats(1.0, 20.0),
     frac=st.floats(1e-3, 0.999),
 )
-def test_discretized_filter_bank_keeps_its_dc_gain(model, T_s, K_a, frac):
+def test_discretized_filter_bank_keeps_its_dc_gain(params, model, T_s, K_a, frac):
     # T from just above T_s to just below C(s)'s stability bound K_a T < 8/9.
     # Oracle: channel 0 is C(0) = 1, channel j is H_um,j(0) / H_m(0).
     # One of those is 0, so the bound is relative to the largest channel's
     # gain: 1e-11. The solve through I - Ad measured 8e-15 at the default
     # tuning and at most 3.5e-13 over 4000 random tunings in this range.
     T = T_s + frac * (8.0 / 9.0 / K_a - T_s)
-    Ad, Bd, Cd, Dd = discretize_filter_bank(model, L1Config(T_s=T_s, T=T, K_a=K_a))
+    Ad, Bd, Cd, Dd = discretize_filter_bank(params, L1Config(T_s=T_s, T=T, K_a=K_a))
     dc = (Cd @ np.linalg.solve(np.eye(len(Ad)) - Ad, Bd) + Dd)[0]
     want = np.array([1.0] + [_dc_gain(_to_output(model, model.B_um[:, j]))
                              / _dc_gain(_to_output(model, model.B_m)) for j in range(3)])
@@ -261,7 +257,7 @@ def test_realized_filter_matches_analytic_frequency_response(params, plant):
     model = build_nominal_model(plant_params)
     cfg = L1Config()
     num, den = shaping_filter_polynomials(cfg.T, cfg.K_a)
-    bank = build_filter_bank(model, cfg)
+    bank = build_filter_bank(plant_params, cfg)
     # a proper numerator, 1 - C(s), puts its direct part in D
     one_minus_c = np.polysub(den, np.concatenate([np.zeros(len(den) - 1), num]))
     proper = observable_realization([one_minus_c], den)
@@ -280,12 +276,12 @@ def test_realized_filter_matches_analytic_frequency_response(params, plant):
 
 @pytest.mark.parametrize("T", [0.005, 0.01, 0.02])
 @pytest.mark.parametrize("T_s", [1e-4, 1e-3, 2e-3])
-def test_tustin_step_is_bit_identical_to_scipy_bilinear(model, T, T_s):
+def test_tustin_step_is_bit_identical_to_scipy_bilinear(params, T, T_s):
     from scipy.signal import cont2discrete
 
     cfg = L1Config(T_s=T_s, T=T)
-    expected = cont2discrete(build_filter_bank(model, cfg), T_s, method="bilinear")[:4]
-    for got, want in zip(discretize_filter_bank(model, cfg), expected):
+    expected = cont2discrete(build_filter_bank(params, cfg), T_s, method="bilinear")[:4]
+    for got, want in zip(discretize_filter_bank(params, cfg), expected):
         assert np.array_equal(got, want)
 
 
@@ -298,13 +294,10 @@ def test_unstable_filter_rejected_at_construction(params):
         L1Controller(params, L1Config(T=1.0, K_a=10.0))
 
 
-def test_filter_bank_requires_full_relative_degree(model):
-    velocity_out = NominalModel(
-        A_m=model.A_m, B_m=model.B_m, B_um=model.B_um,
-        c=np.array([0.0, 0.0, 0.0, 1.0]), K_g=model.K_g,
-    )
-    with pytest.raises(ValueError, match="relative degree"):
-        build_filter_bank(velocity_out, L1Config())
+def test_filter_bank_takes_the_plant_not_a_model(model):
+    for build in (build_filter_bank, discretize_filter_bank):
+        with pytest.raises(TypeError, match="PlantParams"):
+            build(model, L1Config())
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +306,6 @@ def test_filter_bank_requires_full_relative_degree(model):
 
 def test_l1_step_idles_without_excitation(params):
     ctl = L1Controller(params, L1Config(), gravity_comp=False)
-    ctl.reset(np.zeros(4))
     for _ in range(100):
         tau = ctl.step(np.zeros(4), 0.0, 0.0)[0]
         assert tau == 0.0
@@ -323,7 +315,6 @@ def test_torque_limit_feeds_achieved_input_to_predictor(params, model):
     limit = 5.0
     ctl = L1Controller(params, L1Config(), gravity_comp=False,
                        torque_limit=limit)
-    ctl.reset(np.zeros(4))
     # a large observer feedforward forces the clip on the very first step
     tau = ctl.step(np.zeros(4), 0.0, 100.0)[0]
     assert tau == limit
@@ -442,8 +433,8 @@ def test_l1_step_reproduces_its_definition_bit_for_bit(params, x0, samples, grav
                      torque_limit=torque_limit)
         for _ in range(2)
     )
-    batched.reset(np.array(x0))
-    plain.reset(np.array(x0))
+    batched.x_hat[:] = x0
+    plain.x_hat[:] = x0
     for x, q_d, tau_dob in samples:
         record = batched.step(x, q_d, tau_dob)
         want = _definition_step(plain, x, q_d, tau_dob)

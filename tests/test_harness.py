@@ -964,17 +964,24 @@ scenarios =
 def test_cli_run_and_metrics(tmp_path, capsys):
     scen = tmp_path / "s.ini"
     scen.write_text(SCENARIO_INI)
-    out = tmp_path / "out"
-    assert main(["run", str(scen), "--out-dir", str(out)]) == 0
-    trace_file = out / "cli_smoke.csv"
-    assert trace_file.exists() and (out / "plot_cli_smoke.py").exists()
-    trace_line, run_metrics = capsys.readouterr().out.splitlines()
-    assert trace_line == f"trace: {trace_file}"
-    assert main(["metrics", str(trace_file)]) == 0
-    payload = capsys.readouterr().out
-    assert "static_error_rad" in payload
-    # export and import are exact, so run's metrics are the trace file's to the bit
-    assert run_metrics + "\n" == payload
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "load_step_l1ac_m1500.ini"
+    # the shipped scenario on a 2 ms grid, two 1 ms rise-delay shift steps
+    # (the strided path), and on a 1.5 ms grid, which neither divides the
+    # shift step nor is whole steps (the per-shift path)
+    runs = [(scen, "cli_smoke", []), (shipped, shipped.stem, ["--ts", "0.002"]),
+            (shipped, shipped.stem, ["--ts", "0.0015"])]
+    for k, (ini, name, overrides) in enumerate(runs):
+        out = tmp_path / f"out{k}"
+        assert main(["run", str(ini), "--out-dir", str(out), *overrides]) == 0
+        trace_file = out / f"{name}.csv"
+        assert trace_file.exists() and (out / f"plot_{name}.py").exists()
+        trace_line, run_metrics = capsys.readouterr().out.splitlines()
+        assert trace_line == f"trace: {trace_file}"
+        assert main(["metrics", str(trace_file)]) == 0
+        payload = capsys.readouterr().out
+        assert "static_error_rad" in payload
+        # export and import are exact, so run's metrics are the trace file's to the bit
+        assert run_metrics + "\n" == payload, overrides
 
 
 def test_cli_run_with_overrides(tmp_path):
@@ -1050,6 +1057,22 @@ def test_cli_metrics_on_suite_traces_match_the_summary(tmp_path, capsys, manifes
         got = json.loads(capsys.readouterr().out)
         for key, value in got.items():
             assert row[key] == ("" if value is None else repr(value)), (row["scenario"], key)
+
+
+def test_cli_run_and_suite_write_the_same_files_for_one_scenario(tmp_path, capsys):
+    # one run-and-export path: the shipped scenario run alone, under
+    # --check-condition, writes what the shipped suite writes for it, and its
+    # design condition holds, so the check prints nothing
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    name = "load_step_l1ac_m1500"
+    assert main(["suite", str(configs / "load_variation_suite.ini"),
+                 "--out-dir", str(tmp_path / "suite")]) == 0
+    capsys.readouterr()
+    assert main(["run", str(configs / f"{name}.ini"), "--check-condition",
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().err == ""
+    for file in (f"{name}.csv", f"plot_{name}.py"):
+        assert (tmp_path / "run" / file).read_bytes() == (tmp_path / "suite" / file).read_bytes()
 
 
 _SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
@@ -1303,15 +1326,23 @@ def test_cli_condition_names_the_file_and_the_row_too_stiff_to_certify(tmp_path,
 @pytest.mark.parametrize("line, named", [
     ("max_contact_stiffness = -5\n", "max contact stiffness -5.0 "),
     ("masses = 1e308\n", "test masses [1e+308] "),
-], ids=["stiffness", "masses"])
+    ("max_contact_stiffness = 1e300\n[plant]\nJ_a = 1e-300\n",
+     "max contact stiffness 1e+300 over J_a = 1e-300 "),
+    ("[plant]\nK_f = 1e-300\nJ_a = 1e300\n", "K_f / J_a = 1e-300 / 1e+300 "),
+    ("[plant]\nK_f = 1e300\nJ_a = 1e-300\n", "K_f / J_a = 1e+300 / 1e-300 "),
+    ("[plant]\nJ_a = 1e-308\n", "K_f / J_a = 125.478 / 1e-308 "),
+], ids=["stiffness", "masses", "stiffness_over_inertia", "ratio_underflow", "ratio_overflow",
+        "tiny_inertia"])
 def test_cli_condition_names_the_envelope_value_it_refuses(tmp_path, capsys, line, named):
-    # not the internal bound (L_2 or B_2) that the value would have made
+    # not the internal bound (L_2 or B_2) that the value would have made, a
+    # table row, masses in range, or a numpy message: the plant refuses a
+    # ratio K_f / J_a that is 0 or not finite before any row is certified
     cfgfile = tmp_path / "envelope.ini"
     cfgfile.write_text("[condition]\n" + line)
     out = tmp_path / "an"
     assert main(["analyze", "condition", str(cfgfile), "--out-dir", str(out)]) == 2
     detail = json.loads(capsys.readouterr().err.splitlines()[-1])["detail"]
-    assert detail.startswith(f"{cfgfile}: ") and named in detail
+    assert detail.startswith(f"{cfgfile}: {named}")
     assert not out.exists()
 
 

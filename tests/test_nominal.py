@@ -2,11 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sea_l1ac import (
     PlantParams,
     build_nominal_model,
     build_rrc_gains,
+    gravity_gain,
     transfer_from_state_space,
 )
 from sea_l1ac.nominal import open_loop_matrix
@@ -126,10 +129,26 @@ def test_transfer_matches_resolvent_on_frequency_grid(model):
         assert abs(h - direct) / abs(direct) < 1e-8
 
 
+class _Unchecked(PlantParams):
+    """A plant that skips the constructor's checks, to reach the model's own."""
+
+    def __post_init__(self):
+        pass
+
+
+def _past_the_plant_check(params, **extreme):
+    # PlantParams refuses a ratio K_f / J_a that is 0 or not finite, and
+    # names it; the model keeps its own checks behind that one
+    fields = {**vars(params), **extreme}
+    with pytest.raises(ValueError, match="K_f / J_a"):
+        PlantParams(**fields)
+    return _Unchecked(**fields)
+
+
 def test_model_rejects_degenerate_feedback(params):
     # K_f / J_a underflows to 0, so every gain but K_r is 0 and K is the zero
     # row: the open-loop double integrator, which is not Hurwitz
-    degenerate = replace(params, K_f=1e-300, J_a=1e300)
+    degenerate = _past_the_plant_check(params, K_f=1e-300, J_a=1e300)
     assert not build_rrc_gains(degenerate).K.any()
     with pytest.raises(ValueError, match="Hurwitz"):
         build_nominal_model(degenerate)
@@ -140,7 +159,24 @@ def test_model_overflow_is_a_linear_algebra_error(params):
     # K_f / J_a overflows to inf, 0 * inf puts nan in A_m, and the eigenvalue
     # solver refuses it
     with pytest.raises(np.linalg.LinAlgError):
-        build_nominal_model(replace(params, K_f=1e300, J_a=1e-300))
+        build_nominal_model(_past_the_plant_check(params, K_f=1e300, J_a=1e-300))
+
+
+_decades = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(J_a=_decades, K_f=_decades.map(lambda k: 1e3 * k), m_0=_decades,
+       G_0=st.floats(-1e3, 1e3))
+def test_derived_model_keeps_what_the_adaptive_layer_relies_on(params, J_a, K_f, m_0, G_0):
+    # the controller routes its held inputs by the fixed permutation, divides
+    # by the one matched coefficient, and reads G_0 as the nominal gravity gain
+    plant = replace(params, J_a=J_a, K_f=K_f, m_0=m_0, G_0=G_0)
+    model = build_nominal_model(plant)
+    assert model.b_stacked.tobytes() == np.eye(4)[:, [3, 0, 1, 2]].tobytes()
+    nums, _ = transfer_from_state_space(model.A_m, model.b_stacked, model.c)
+    assert len(np.trim_zeros(nums[0], "f")) == 1
+    assert gravity_gain(plant, plant.m_0).hex() == plant.G_0.hex()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
