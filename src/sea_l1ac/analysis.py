@@ -20,6 +20,7 @@ import numpy as np
 
 from .nominal import NominalModel, build_nominal_model
 from .params import PlantParams
+from .plant import gravity_gain
 
 if TYPE_CHECKING:
     from .controllers import L1Config
@@ -421,7 +422,7 @@ class StabilityBudget:
         if not 0.0 <= l2 < math.inf:  # a negative, infinite or nan stiffness, or overflow
             raise ValueError(f"max contact stiffness {max_contact_stiffness!r} over "
                              f"J_a = {params.J_a!r} is not nonnegative and finite")
-        b2 = (worst / params.m_0) * params.G_0 / params.J_a
+        b2 = gravity_gain(params, worst) / params.J_a
         if not b2 < math.inf:  # overflow; nan fails too
             raise ValueError(f"test masses {masses} give a gravity bound B_2 that is not finite")
         return StabilityBudget(L_2=l2, B_2=b2)

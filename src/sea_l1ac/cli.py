@@ -15,6 +15,7 @@ each classified as the same error in ``run`` would be.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -67,15 +68,25 @@ def _category(exc: Exception) -> str | None:
     return None
 
 
+@contextlib.contextmanager
+def _naming(prefix: str):
+    """Put ``prefix`` before the detail of a configuration ValueError; numeric ones pass."""
+    try:
+        yield
+    except ValueError as exc:
+        if _category(exc) != "config":
+            raise
+        raise ValueError(f"{prefix}: {exc}") from None
+
+
 def _warn_condition(cfg: ScenarioConfig):
     if cfg.controller == "rrc":
         return
-    params = cfg.make_params()
     budget = analysis.StabilityBudget.from_envelope(
-        params, [cfg.mass], max_contact_stiffness=cfg.contact_stiffness,
+        cfg.params, [cfg.mass], max_contact_stiffness=cfg.contact_stiffness,
         gravity_comp=cfg.gravity_feedforward)
     report = analysis.check_stability_condition(
-        params, L1Config(T_s=cfg.T_s, T=cfg.T, K_a=cfg.K_a), budget,
+        cfg.params, L1Config(T_s=cfg.T_s, T=cfg.T, K_a=cfg.K_a), budget,
         qd_peak=abs(cfg.q_d_amplitude),
     )
     if not report.satisfied:
@@ -133,7 +144,8 @@ def _cmd_suite(args) -> int:
 def _cmd_analyze(args) -> int:
     if args.what == "rootlocus":
         job = rootlocus_job_from_ini(args.config)
-        rows = analysis.root_locus(job["params"].omega, job["lambdas"]).csv_rows()
+        with _naming(args.config):  # a lambda the contact polynomial cannot take
+            rows = analysis.root_locus(job["params"].omega, job["lambdas"]).csv_rows()
     else:
         job = condition_job_from_ini(args.config)
         rows = [[
@@ -141,13 +153,9 @@ def _cmd_analyze(args) -> int:
             "norm_G1", "norm_G2", "norm_Gd", "reason",
         ]]
         for cfg in job["configs"]:
-            try:
+            with _naming(f"{args.config}: T = {cfg.T}"):  # a row too stiff to certify
                 rep = analysis.check_stability_condition(job["params"], cfg, job["budget"],
                                                          qd_peak=job["qd_peak"])
-            except ValueError as exc:  # a row too stiff to certify; numeric errors pass
-                if _category(exc) != "config":
-                    raise
-                raise ValueError(f"{args.config}: T = {cfg.T}: {exc}") from None
             rows.append([
                 cfg.T_s, cfg.T, cfg.K_a, int(rep.satisfied), rep.margin, rep.lhs,
                 rep.rhs_best, rep.rho_best, rep.norm_g1, rep.norm_g2, rep.norm_gd,
@@ -162,10 +170,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_metrics(args) -> int:
     trace = import_trace(args.trace)
-    try:
+    with _naming(args.trace):
         report = compute_metrics(trace)
-    except ValueError as exc:
-        raise ValueError(f"{args.trace}: {exc}") from None
     print(json.dumps(asdict(report)))
     return 0
 

@@ -17,8 +17,6 @@ from .controllers import L1Config
 from .harness import ConfigError, ScenarioConfig, SuiteConfig
 from .params import PlantParams, benchmark_params
 
-_PLANT_KEYS = ("J_m", "J_a", "K_f", "G_0", "m_0", "K_t", "f_m")
-
 
 def finite_float(raw) -> float:
     """float() that also rejects nan and the infinities."""
@@ -80,13 +78,10 @@ class _Ini:
             raise ConfigError(f"{self.path}: {exc}") from exc
 
 
-def _plant_overrides(ini: _Ini) -> PlantParams | None:
-    base = benchmark_params()
-    values = {k: ini.get("plant", k, finite_float, None) for k in _PLANT_KEYS}
-    if all(v is None for v in values.values()):
-        return None
-    return ini.make(PlantParams, m=base.m, **{
-        k: getattr(base, k) if v is None else v for k, v in values.items()})
+def _plant_params(ini: _Ini) -> PlantParams:
+    # one [plant] key per PlantParams field, defaulting to the benchmark value
+    return ini.make(PlantParams, **{k: ini.get("plant", k, finite_float, v)
+                                    for k, v in vars(benchmark_params()).items()})
 
 
 # (section, key) -> (ScenarioConfig field, converter); an absent or empty key
@@ -118,7 +113,7 @@ def scenario_from_ini(path) -> ScenarioConfig:
     ini = _Ini(path, "scenario")
     values = {name: ini.get(section, key, conv, None)
               for (section, key), (name, conv) in _SCENARIO_KEYS.items()}
-    fields = {"name": ini.path.stem, "params": _plant_overrides(ini)}
+    fields = {"name": ini.path.stem, "params": _plant_params(ini)}
     fields.update((k, v) for k, v in values.items() if v is not None)
     ini.check_unknown()
     return ini.make(ScenarioConfig, **fields)
@@ -152,7 +147,7 @@ def rootlocus_job_from_ini(path) -> dict:
     points = ini.get("rootlocus", "points", int, 61)
     log_scale = ini.get("rootlocus", "log_scale", bool, True)
     include_zero = ini.get("rootlocus", "include_zero", bool, True)
-    params = _plant_overrides(ini) or benchmark_params()
+    params = _plant_params(ini)
     ini.check_unknown()
     if lo <= 0.0 and log_scale:
         raise ConfigError(f"{ini.path}: lambda_min must be positive on a log grid")
@@ -182,7 +177,7 @@ def condition_job_from_ini(path) -> dict:
             "condition", "max_contact_stiffness", finite_float, 0.0),
         "gravity_comp": ini.get("condition", "gravity_comp", bool, True),
     }
-    params = _plant_overrides(ini) or benchmark_params()
+    params = _plant_params(ini)
     ini.check_unknown()
     if not time_constants:
         raise ConfigError(f"{ini.path}: [condition] filter_time_constants lists no time constant")

@@ -84,7 +84,7 @@ class ScenarioConfig:
     ideal_dob: bool = False
     decimate: int = 1
     track_reference: bool = False
-    params: PlantParams | None = None
+    params: PlantParams = field(default_factory=benchmark_params)
 
     def __post_init__(self):
         _check_file_stem(self.name, "scenario")
@@ -123,6 +123,8 @@ class ScenarioConfig:
             raise ConfigError("reference tracking needs the adaptive controller")
         if not 0.0 <= self.mass < math.inf:
             raise ConfigError("mass must be nonnegative")
+        if not isinstance(self.params, PlantParams):
+            raise ConfigError(f"params must be a PlantParams, not {self.params!r}")
         for name in ("q_d_amplitude", "q_d_start", "contact_position"):
             if not -math.inf < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite")
@@ -135,10 +137,6 @@ class ScenarioConfig:
     def gravity_feedforward(self) -> bool:
         """The adaptive law feeds gravity forward: ``l1ac`` with gravity on."""
         return self.gravity_on and self.controller == "l1ac"
-
-    def make_params(self) -> PlantParams:
-        base = self.params if self.params is not None else benchmark_params()
-        return base.with_mass(self.mass)
 
     def make_environment(self) -> EnvironmentModel:
         return EnvironmentModel(
@@ -252,8 +250,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
     max |x_r(k) - x(k)| at the sample instants k T_s, k = 1 .. n, where
     x(n) is the state after the last step.
     """
-    params = cfg.make_params()
-    env = cfg.make_environment()
+    params, env = cfg.params, cfg.make_environment()
     h = cfg.T_s / cfg.substeps
 
     dob = None
@@ -290,7 +287,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
     T_s, decimate, substeps, K_t = cfg.T_s, cfg.decimate, cfg.substeps, params.K_t
     amplitude, switch_on = cfg.q_d_amplitude, cfg.q_d_start - 1e-12
     ideal_dob, tracking = cfg.ideal_dob, reference is not None
-    gravity_gains = _link_gravity_gains(params, cfg.gravity_on)
+    gravity_gains = _link_gravity_gains(params, cfg.mass, cfg.gravity_on)
     control, norm, bound = controller.step, math.hypot, STATE_BOUND
     rows, log = array("d"), array("d")  # trace rows; reference log, every step
     record_row, record_step = rows.extend, log.extend

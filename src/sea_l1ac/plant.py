@@ -8,11 +8,11 @@ carries viscous friction; both couple through the torsional spring:
 
 G(q) = g_0 sin q is the nominal-mass gravity and tau_dis = (g - g_0) sin q
 plus ``contact_torque`` is the load disturbance, with (g_0, g) the nominal
-and actual load gains ``_link_gravity_gains`` returns (None with gravity
-off). The one plant API is ``_rk4_tuple(x, tau_m, dt, params, env,
-gains)``: one classical RK4 step of x = (q, q', theta, theta') under
-``_derivative``, with the gains computed once per run. It leaves the
-finiteness check of the result to its caller.
+and scenario load gains ``_link_gravity_gains(params, mass, gravity_on)``
+returns (None with gravity off). The one plant API is ``_rk4_tuple(x,
+tau_m, dt, params, env, gains)``: one classical RK4 step of x = (q, q',
+theta, theta') under ``_derivative``, with the gains computed once per
+run. It leaves the finiteness check of the result to its caller.
 """
 
 from __future__ import annotations
@@ -43,11 +43,11 @@ def contact_torque(env: EnvironmentModel, q: float) -> float:
     return env.K_e * deflection
 
 
-def _link_gravity_gains(params: PlantParams, gravity_on: bool):
-    # (nominal, actual load) gravity gains, or None with gravity off
+def _link_gravity_gains(params: PlantParams, mass: float, gravity_on: bool):
+    # (nominal, load of ``mass``) gravity gains, or None with gravity off
     if not gravity_on:
         return None
-    return params.G_0, gravity_gain(params, params.m)
+    return params.G_0, gravity_gain(params, mass)
 
 
 def _derivative(q, dq, theta, dtheta, tau_m, params, env, gravity_gains):

@@ -21,6 +21,7 @@ from sea_l1ac import (
     EnvironmentModel,
     L1Config,
     L1Controller,
+    PlantParams,
     RrcController,
     RunTrace,
     ScenarioConfig,
@@ -138,6 +139,8 @@ def _l1(**kwargs):
     (ScenarioConfig, {"duration": 4e-4}, ConfigError),  # rounds to 0 steps of T_s = 1 ms
     (ScenarioConfig, {"duration": 0.01, "T_s": 0.02}, ConfigError),  # 0.5 rounds to 0
     (ScenarioConfig, {"mass": "1.5"}, ConfigError),
+    (ScenarioConfig, {"mass": -1.0}, ConfigError),
+    (ScenarioConfig, {"params": None}, ConfigError),
     (ScenarioConfig, {"duration": True}, ConfigError),
     (SuiteConfig, {"name": "../escaped", "scenarios": ()}, ConfigError),
     (EnvironmentModel, {"K_e": math.nan}, ValueError),
@@ -162,7 +165,6 @@ def _l1(**kwargs):
     (StabilityBudget, {"L_2": math.nan, "B_2": 1.0}, ValueError),
     (StabilityBudget, {"B_2": math.inf}, ValueError),
     (_plant, {"f_m": math.nan}, ValueError),
-    (_plant, {"m": math.nan}, ValueError),
     (_plant, {"G_0": math.nan}, ValueError),
     (_plant, {"G_0": -math.inf}, ValueError),
     (_plant, {"J_m": math.inf}, ValueError),
@@ -197,19 +199,19 @@ def test_reference_error_compares_the_same_sample_instants(contact_stiffness):
                  duration=1.0, track_reference=True,
                  contact_stiffness=contact_stiffness, contact_position=1.2)
     trace = run_scenario(cfg)
-    params, env = cfg.make_params(), cfg.make_environment()
+    params, env = cfg.params, cfg.make_environment()
     ref = ReferenceSystem(L1Controller(params, L1Config(T_s=cfg.T_s, T=cfg.T, K_a=cfg.K_a)))
     cols = ("q_rad", "dq_rad_per_s", "theta_rad", "dtheta_rad_per_s")
     xs = np.column_stack([trace[c] for c in cols])
     final = _rk4_tuple(tuple(xs[-1]), float(trace["tau_m_Nm"][-1]), cfg.T_s, params, env,
-                       _link_gravity_gains(params, cfg.gravity_on))
+                       _link_gravity_gains(params, cfg.mass, cfg.gravity_on))
     after = np.vstack([xs[1:], final])  # x(k + 1), the state each step leads to
     s, worst = np.concatenate([xs[0], np.zeros(len(ref._M) - 4)]), 0.0
     for t, x, x_next in zip(trace["t_s"], xs, after):
         q, _, theta, dtheta = x
         tau_dob = ideal_motor_side_compensation(x, params)
         sigma1 = (tau_dob - params.f_m * dtheta - params.K_f * (theta - q)) / params.J_m
-        link = contact_torque(env, q) + gravity_gain(params, params.m) * math.sin(q)
+        link = contact_torque(env, q) + gravity_gain(params, cfg.mass) * math.sin(q)
         q_d = cfg.q_d_amplitude if t >= cfg.q_d_start else 0.0
         s = ref.step(s, np.array([sigma1, 0.0, -link / params.J_a, 0.0, q_d, 0.0, 0.0, 0.0, 0.0]))
         worst = max(worst, float(np.max(np.abs(s[:4] - x_next))))
@@ -749,9 +751,32 @@ def test_scenario_ini_plant_overrides(tmp_path):
         "\n[plant]\nJ_a = 0.5\nK_f = 100.0\n"
     )
     cfg = scenario_from_ini(ini)
-    params = cfg.make_params()
-    assert params.J_a == 0.5 and params.K_f == 100.0 and params.m == 2.0
-    assert params.J_m == benchmark_params().J_m  # untouched fields keep defaults
+    assert cfg.params.J_a == 0.5 and cfg.params.K_f == 100.0 and cfg.mass == 2.0
+    assert cfg.params.J_m == benchmark_params().J_m  # untouched fields keep defaults
+
+
+@pytest.mark.parametrize("section", ["scenario", "rootlocus", "condition"])
+def test_plant_section_reads_every_field_back(tmp_path, section):
+    from sea_l1ac import config_io
+
+    # every PlantParams field is one [plant] key, read the same by each loader
+    plant = PlantParams(J_m=0.3, J_a=0.4, K_f=120.0, G_0=9.0, m_0=1.25, K_t=0.1, f_m=4.0)
+    assert all(v != getattr(benchmark_params(), k) for k, v in vars(plant).items())
+    ini = tmp_path / "p.ini"
+    ini.write_text(f"[{section}]\n[plant]\n"
+                   + "".join(f"{k} = {v!r}\n" for k, v in vars(plant).items()))
+    load = {"scenario": config_io.scenario_from_ini,
+            "rootlocus": config_io.rootlocus_job_from_ini,
+            "condition": config_io.condition_job_from_ini}[section]
+    loaded = load(ini)
+    assert (loaded.params if section == "scenario" else loaded["params"]) == plant
+
+
+def test_the_load_mass_belongs_to_the_scenario_alone():
+    # the plant holds the actuator's constants; a scenario always carries one
+    with pytest.raises(TypeError):
+        PlantParams(**vars(benchmark_params()), m=1.0)
+    assert ScenarioConfig().params == benchmark_params()
 
 
 def test_scenario_ini_reads_every_key_and_keeps_the_dataclass_defaults(tmp_path):
@@ -1049,7 +1074,7 @@ def test_cli_metrics_on_suite_traces_match_the_summary(tmp_path, capsys, manifes
     out = tmp_path / "res"
     assert main(["suite", str(configs / manifest), "--out-dir", str(out)]) == 0
     (summary,) = out.glob("*_summary.csv")
-    rows = list(csv.DictReader(summary.open()))
+    rows = list(csv.DictReader(summary.read_text().splitlines()))
     assert len(rows) == 6
     capsys.readouterr()
     for row in rows:
@@ -1331,12 +1356,14 @@ def test_cli_condition_names_the_file_and_the_row_too_stiff_to_certify(tmp_path,
     ("[plant]\nK_f = 1e-300\nJ_a = 1e300\n", "K_f / J_a = 1e-300 / 1e+300 "),
     ("[plant]\nK_f = 1e300\nJ_a = 1e-300\n", "K_f / J_a = 1e+300 / 1e-300 "),
     ("[plant]\nJ_a = 1e-308\n", "K_f / J_a = 125.478 / 1e-308 "),
+    ("[plant]\nK_f = 1e308\nJ_a = 1\n", "K_f / J_a = 1e+308 / 1.0 "),
 ], ids=["stiffness", "masses", "stiffness_over_inertia", "ratio_underflow", "ratio_overflow",
-        "tiny_inertia"])
+        "tiny_inertia", "gain_overflow"])
 def test_cli_condition_names_the_envelope_value_it_refuses(tmp_path, capsys, line, named):
     # not the internal bound (L_2 or B_2) that the value would have made, a
     # table row, masses in range, or a numpy message: the plant refuses a
-    # ratio K_f / J_a that is 0 or not finite before any row is certified
+    # ratio K_f / J_a that is 0, or that overflows the baseline gain 5 K_f / J_a,
+    # before any row is certified
     cfgfile = tmp_path / "envelope.ini"
     cfgfile.write_text("[condition]\n" + line)
     out = tmp_path / "an"
@@ -1412,17 +1439,22 @@ def test_cli_rootlocus_writes_the_zero_row_once(tmp_path, lambda_min, points, ro
     assert lambdas == sorted(lambdas)
 
 
-def test_cli_rootlocus_rejects_a_stiffness_it_cannot_solve(tmp_path, capsys):
-    # 1e308 passes the grid's own checks, but 2 w^2 lambda overflows
+@pytest.mark.parametrize("grid, named", [
+    ("lambda_min = 1.0\nlambda_max = 1e308\npoints = 3\n", "lambda gridpoint 1e+308 overflows"),
+    ("lambda_min = -1\nlog_scale = off\n", "lambda gridpoint -1.0 must be finite"),
+], ids=["overflow", "negative"])
+def test_cli_rootlocus_rejects_a_stiffness_it_cannot_solve(tmp_path, capsys, grid, named):
+    # both pass the grid's own checks: 1e308 overflows 2 w^2 lambda, and a
+    # linear grid may start below 0; the detail names the file first
     cfgfile = tmp_path / "an.ini"
-    cfgfile.write_text("[rootlocus]\nlambda_min = 1.0\nlambda_max = 1e308\npoints = 3\n")
+    cfgfile.write_text("[rootlocus]\n" + grid)
     out = tmp_path / "an"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["analyze", "rootlocus", str(cfgfile), "--out-dir", str(out)])
     assert code == 2
-    err = capsys.readouterr().err
-    assert '"error": "config"' in err and "lambda gridpoint 1e+308 overflows" in err
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "config" and err["detail"].startswith(f"{cfgfile}: {named}")
     assert not out.exists()
 
 

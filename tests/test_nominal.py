@@ -37,7 +37,7 @@ def test_gain_formulas(gains):
 
 
 def test_unit_parameter_gains():
-    unit = PlantParams(J_m=1.0, J_a=1.0, K_f=1.0, G_0=1.0, m_0=1.0, m=1.0, K_t=1.0, f_m=0.0)
+    unit = PlantParams(J_m=1.0, J_a=1.0, K_f=1.0, G_0=1.0, m_0=1.0, K_t=1.0, f_m=0.0)
     g = build_rrc_gains(unit)
     assert (unit.omega, g.K_p, g.K_r, g.K_v) == (1.0, 1.0, 4.0, 4.0)
 
