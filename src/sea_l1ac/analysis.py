@@ -259,6 +259,20 @@ _BLOCK_MADDS = 2**16  # multiply-adds per march product; see l1_norm
 _MAX_STEPS = 10**7
 
 
+def _march_grid(tau_fast: float, tau_slow: float) -> tuple[float, int]:
+    """The sample step and count of the L1 march over a stable system with
+    these fastest and slowest time constants: a hundredth of the fastest,
+    over 20 of the slowest. Raises ValueError past ``_MAX_STEPS`` samples."""
+    dt = tau_fast / 100.0
+    samples = 20.0 * tau_slow / dt
+    if not samples <= _MAX_STEPS:  # inf too
+        raise ValueError(
+            f"L1 norm too stiff to integrate: slowest time constant {tau_slow:.3g} s, "
+            f"fastest {tau_fast:.3g} s, {samples:.3g} samples (at most {_MAX_STEPS:.0e})"
+        )
+    return dt, int(math.ceil(samples))
+
+
 def l1_norm(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
     """L1 norm of the strictly proper system (A, B, C): the integral of the
     absolute impulse response C e^{A t} B, max row sum for MIMO.
@@ -289,19 +303,10 @@ def l1_norm(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
     is numpy's, so only a process that has also discretized an adaptive
     controller (``hold_response``) has that second pool.
     """
-    eig = np.linalg.eigvals(A)
-    alpha = float(np.max(eig.real))
-    if alpha >= 0.0:
+    real = np.linalg.eigvals(A).real
+    if not np.max(real) < 0.0:
         raise UnstableSystemError("impulse response does not decay; L1 norm undefined")
-    tau_slow = -1.0 / alpha
-    tau_fast = -1.0 / float(np.min(eig.real))
-    dt = tau_fast / 100.0
-    steps = int(math.ceil(20.0 * tau_slow / dt))
-    if steps > _MAX_STEPS:
-        raise ValueError(
-            f"L1 norm too stiff to integrate: slowest time constant {tau_slow:.3g} s, "
-            f"fastest {tau_fast:.3g} s, {steps:.3g} samples (at most {_MAX_STEPS:.0e})"
-        )
+    dt, steps = _march_grid(-1.0 / float(np.min(real)), -1.0 / float(np.max(real)))
     Ed = matrix_exponential(A, dt)
     p, (n, m) = C.shape[0], B.shape
     K = 1
@@ -476,6 +481,15 @@ def check_stability_condition(
             rho_best=math.nan, norm_g1=math.inf, norm_g2=math.inf,
             norm_gd=math.inf, reason="closed filter C(s) unstable",
         )
+    # refuse a loop too stiff to certify from the time constants of its
+    # poles, stable by construction: 1/omega, and T / |Re x| for the roots x
+    # of x^4 + 3 x^3 + 3 x^2 + x + K_a T, the denominator of C(s) in x = T s.
+    # The eigenvalues of a badly scaled realization of the loop (K_f = 1e60)
+    # can leave the left half-plane.
+    x = polynomial_roots(np.array([1.0, 3.0, 3.0, 1.0, cfg.K_a * cfg.T]))
+    with np.errstate(divide="ignore"):  # a real part that rounds to 0 is too slow to march
+        tau = np.append(1.0 / params.omega, cfg.T / np.abs(x.real))
+    _march_grid(float(np.min(tau)), float(np.max(tau)))
     n1, lhs, nd = (l1_norm(*g) for g in reference_loop_pieces(model, cfg))
     command = nd * abs(model.K_g) * abs(qd_peak)
     L_2 = budget.L_2

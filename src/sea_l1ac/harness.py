@@ -197,9 +197,10 @@ class MetricsReport:
     peak_speed_after_contact: float | None
 
 
-def _columns(rows: array) -> dict:
-    data = np.array(rows).reshape(-1, len(TRACE_COLUMNS))
-    data = np.ascontiguousarray(data.T)  # row j is TRACE_COLUMNS[j]
+def _columns(rows: np.ndarray) -> dict:
+    """The trace columns of a (samples, len(TRACE_COLUMNS)) array: views
+    of one transposed copy, so each column is contiguous."""
+    data = rows.T.copy()  # row j is TRACE_COLUMNS[j]
     return {name: data[j] for j, name in enumerate(TRACE_COLUMNS)}
 
 
@@ -299,7 +300,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
         if tracking:
             aux["ref_err_max"] = _reference_error(reference, log, x_final, params, env,
                                                   gravity_gains)
-        return RunTrace(columns=_columns(rows), meta=meta, aux=aux)
+        return RunTrace(columns=_columns(np.frombuffer(rows).reshape(-1, len(TRACE_COLUMNS))),
+                        meta=meta, aux=aux)
 
     x = (0.0, 0.0, 0.0, 0.0)
     for i in range(int(round(cfg.duration / T_s))):

@@ -15,17 +15,21 @@ from __future__ import annotations
 import csv
 import io
 import string
+from functools import partial
+from itertools import chain, islice
 from pathlib import Path
 from urllib.parse import quote, unquote
 
 import numpy as np
 
-from .harness import TRACE_COLUMNS, RunTrace
+from .harness import TRACE_COLUMNS, RunTrace, _columns
 
 
 # metadata keys whose values stay text even when they look like numbers
 _TEXT_KEYS = ("name", "controller")
 _META_SAFE = "".join(c for c in string.printable if c not in " =#%" and not c.isspace())
+_BLOCK_ROWS = 128  # rows export_trace formats and writes at a time
+_READ_CHARS = 1 << 14  # characters import_trace reads at a time
 
 
 def _fmt(value) -> str:
@@ -64,40 +68,62 @@ def _parse_meta_line(line: str) -> dict:
     return meta
 
 
-def _write(path, what: str, text: str) -> Path:
-    """Write ``text`` to ``path`` with LF line ends, creating its directory
-    first; an OSError names ``what``."""
+def _write(path, what: str, chunks) -> Path:
+    """Write the text ``chunks`` to ``path`` in turn, with LF line ends,
+    creating its directory first; an OSError names ``what``."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8", newline="\n")
+        with path.open("w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
     except OSError as exc:
         raise OSError(f"cannot write {what} to {path}: {exc}") from exc
     return path
 
 
+def _row_blocks(columns):
+    """The trace body, ``_BLOCK_ROWS`` rows per string."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        # .tolist() yields the Python floats whose repr is the shortest round trip
+        block = np.asarray(np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns]),
+                           dtype=float).tolist()
+        yield "".join([",".join(map(repr, row)) + "\n" for row in block])
+
+
 def export_trace(trace: RunTrace, path) -> Path:
-    """Write a trace to ``path``; returns the path written."""
-    # .tolist() yields the Python floats whose repr is the shortest round trip
-    rows = np.asarray(
-        np.column_stack([trace.columns[name] for name in TRACE_COLUMNS]), dtype=float
-    ).tolist()
-    text = "".join([
-        _meta_line(trace.meta) + "\n",
-        ",".join(TRACE_COLUMNS) + "\n",
-        *(",".join(map(repr, row)) + "\n" for row in rows),
-    ])
-    return _write(path, "trace", text)
+    """Write a trace to ``path``; returns the path written. The rows are
+    formatted and written a block at a time, so the text of the whole trace
+    is never held."""
+    columns = [np.asarray(trace.columns[name]) for name in TRACE_COLUMNS]
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"trace columns differ in length: {dict(zip(TRACE_COLUMNS, lengths))}")
+    head = _meta_line(trace.meta) + "\n" + ",".join(TRACE_COLUMNS) + "\n"
+    return _write(path, "trace", chain([head], _row_blocks(columns)))
 
 
-def import_trace(path) -> RunTrace:
-    """Read back a trace written by export_trace; a missing header or a row
-    that is not one number per column raises ValueError naming the file."""
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise OSError(f"cannot read trace from {path}: {exc}") from exc
+def _lines(fh):
+    """The lines of the open text file ``fh``, split where ``str.splitlines``
+    splits and read ``_READ_CHARS`` at a time. Each keeps its line end,
+    which numpy reads as a blank after the last cell.
+
+    A unit separator (U+001F) raises ValueError: numpy reads it as a blank
+    at either end of a cell too, where float() refuses the cell.
+    """
+    tail = ""
+    for chunk in iter(partial(fh.read, _READ_CHARS), ""):
+        if "\x1f" in chunk:
+            raise ValueError("unit separator in the file")
+        lines = (tail + chunk).splitlines(keepends=True)
+        tail = lines.pop()  # may continue in the next chunk
+        yield from lines
+    if tail:
+        yield tail
+
+
+def _header(lines: list, path) -> tuple[dict, int]:
+    """The metadata of a trace and the index of its header among its first
+    ``lines``; a missing or different header raises ValueError."""
     meta: dict = {}
     idx = 0
     if lines and lines[0].startswith("#"):
@@ -105,6 +131,18 @@ def import_trace(path) -> RunTrace:
         idx = 1
     if idx >= len(lines) or tuple(lines[idx].split(",")) != TRACE_COLUMNS:
         raise ValueError(f"missing or unexpected trace header in {path}")
+    return meta, idx
+
+
+def _parse_lines(path) -> tuple[dict, np.ndarray]:
+    """The metadata of the trace at ``path`` and its body as a (rows,
+    columns) array, read one line at a time; a row that is not one number
+    per column raises ValueError naming the file and the line."""
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise OSError(f"cannot read trace from {path}: {exc}") from exc
+    meta, idx = _header(lines, path)
     rows = []
     for lineno, line in enumerate(lines[idx + 1:], start=idx + 2):
         if not line:
@@ -116,9 +154,38 @@ def import_trace(path) -> RunTrace:
             rows.append([float(v) for v in cells])
         except ValueError as exc:
             raise ValueError(f"{path}, line {lineno}: {exc}") from None
-    data = np.array(rows).reshape(len(rows), len(TRACE_COLUMNS))
-    columns = {name: data[:, j].copy() for j, name in enumerate(TRACE_COLUMNS)}
-    return RunTrace(columns=columns, meta=meta)
+    return meta, np.array(rows).reshape(len(rows), len(TRACE_COLUMNS))
+
+
+def import_trace(path) -> RunTrace:
+    """Read back a trace written by export_trace; a missing header or a row
+    that is not one number per column raises ValueError naming the file.
+
+    The body is parsed by one numpy call over the file's lines, read a
+    chunk at a time. Where numpy refuses the body, or the file is not
+    UTF-8, ``_parse_lines`` reads it line by line instead: it accepts every
+    row numpy does, with the same doubles, and its errors name the line.
+    """
+    path = Path(path)
+    try:
+        with path.open(encoding="utf-8") as fh:
+            lines = _lines(fh)
+            head = list(islice(lines, 2))
+            meta, idx = _header([line.splitlines()[0] for line in head], path)
+            body = chain(head[idx + 1:], lines)
+            first = next((line for line in body if line != "\n"), None)
+            if first is None:  # no row: loadtxt would warn
+                data = np.empty((0, len(TRACE_COLUMNS)))
+            else:
+                data = np.loadtxt(chain([first], body), delimiter=",", comments=None,
+                                  ndmin=2)
+    except OSError as exc:
+        raise OSError(f"cannot read trace from {path}: {exc}") from exc
+    except ValueError:  # a bad header, a body numpy refuses, U+001F, or not UTF-8
+        data = None
+    if data is None or data.shape[1] != len(TRACE_COLUMNS):
+        meta, data = _parse_lines(path)
+    return RunTrace(columns=_columns(data), meta=meta)
 
 
 _PLOT_TEMPLATE = '''"""Plot the recorded step response: position, motor current, and the
@@ -168,7 +235,7 @@ print(f"wrote {{out}}")
 
 def export_plotscript(trace_csv_name: str, path) -> Path:
     """Write a standalone matplotlib script that renders the trace panels."""
-    return _write(path, "plot script", _PLOT_TEMPLATE.format(csv_name=str(trace_csv_name)))
+    return _write(path, "plot script", [_PLOT_TEMPLATE.format(csv_name=str(trace_csv_name))])
 
 
 def export_table(rows, path) -> Path:
@@ -176,4 +243,4 @@ def export_table(rows, path) -> Path:
     comma, a quote or a line break is quoted, so every row keeps its cells."""
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerows(map(_fmt, row) for row in rows)
-    return _write(path, "table", text.getvalue())
+    return _write(path, "table", [text.getvalue()])

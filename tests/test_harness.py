@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -38,9 +39,11 @@ from sea_l1ac import (
     run_suite,
     summary_table,
 )
+from sea_l1ac import traceio
 from sea_l1ac.cli import main
-from sea_l1ac.harness import STATE_BOUND, TRACE_COLUMNS, _rise_delay
-from sea_l1ac.traceio import _meta_line
+from sea_l1ac.config_io import scenario_from_ini
+from sea_l1ac.harness import STATE_BOUND, TRACE_COLUMNS, _columns, _rise_delay
+from sea_l1ac.traceio import _BLOCK_ROWS, _READ_CHARS, _meta_line, _parse_lines
 
 
 def _quick(name="quick", **kw):
@@ -270,11 +273,17 @@ _SPECIAL_CELLS = (-0.0, 0.0, 5e-324, 1.5e-310, 1e16, 1e-5, 1e-4, math.nan, math.
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
-def test_export_writes_the_repr_of_every_cell(tmp_path_factory, data):
-    rows = data.draw(st.integers(0, 6))
+@pytest.mark.parametrize("rows", [None, 0, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1],
+                         ids=["drawn", "empty", "one_block", "two_blocks_and_one"])
+def test_export_writes_the_repr_of_every_cell(tmp_path_factory, data, rows):
+    # rows None draws 0 to 6; a larger trace repeats 7 drawn cells down each
+    # column, so drawn cells sit on both sides of every block boundary
+    if rows is None:
+        rows = data.draw(st.integers(0, 6))
     cell = st.sampled_from(_SPECIAL_CELLS) | st.floats()
-    columns = {name: np.array(data.draw(st.lists(cell, min_size=rows, max_size=rows)),
-                              dtype=float) for name in TRACE_COLUMNS}
+    drawn = min(rows, 7)
+    columns = {name: np.resize(np.array(data.draw(st.lists(cell, min_size=drawn, max_size=drawn)),
+                                        dtype=float), rows) for name in TRACE_COLUMNS}
     trace = RunTrace(columns=columns, meta={"name": "cells", "q_d_amplitude": 1.0})
     out = tmp_path_factory.mktemp("cells")
     p1 = export_trace(trace, out / "a.csv")
@@ -293,6 +302,141 @@ def _assert_columns_bit_identical(a, b):
         x, y = np.asarray(a[name], dtype=float), np.asarray(b[name], dtype=float)
         assert x.shape == y.shape and np.array_equal(np.isnan(x), np.isnan(y))
         assert x[~np.isnan(x)].tobytes() == y[~np.isnan(y)].tobytes()
+
+
+def test_export_refuses_columns_of_unequal_length_before_writing(tmp_path):
+    columns = {name: np.zeros(3) for name in TRACE_COLUMNS}
+    columns["u2"] = np.zeros(2)
+    path = tmp_path / "new" / "t.csv"
+    with pytest.raises(ValueError, match="differ in length"):
+        export_trace(RunTrace(columns=columns, meta={}), path)
+    assert not path.parent.exists()
+
+
+def _read_line_by_line(path):
+    meta, data = _parse_lines(path)
+    return RunTrace(columns=_columns(data), meta=meta)
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _assert_reads_as_the_loop(path):
+    """import_trace gives what the per-line loop gives: the same doubles
+    (nan payloads included) and metadata, or the same exception text."""
+    fast, loop = _outcome(import_trace, path), _outcome(_read_line_by_line, path)
+    if isinstance(loop, str):
+        assert fast == loop
+        return
+    assert not isinstance(fast, str), fast
+    _assert_columns_bit_identical(fast, loop)
+    for name in TRACE_COLUMNS:
+        assert fast[name].tobytes() == loop[name].tobytes()
+        assert fast[name].flags.c_contiguous
+    assert repr(fast.meta) == repr(loop.meta)
+
+
+# cells both parsers read, then text where they part: float() reads 1_0 and
+# Arabic-Indic digits, numpy reads U+001F at a cell's end as a blank, and
+# str.splitlines ends a line at \x0b, \x0c, \x1c-\x1e, \x85, U+2028 and U+2029
+_PLAIN_CELL = (st.sampled_from(_SPECIAL_CELLS).map(repr) | st.floats().map(repr)
+               | st.sampled_from(("-nan", "+inf", "Infinity", "1E5", ".5", "5.", " 2.5 ",
+                                  "1e-400", "0001.5", "\t-3")))
+_ODD_TEXT = st.sampled_from(("_", "1_0", "\u0661", "#", "#x", " ", "\t", "", ",", "e", "\x00",
+                             "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+                             "\u2028", "\u2029", "\u3000", "\r", "\r\n", "\n", "\n\n", " \n",
+                             "\udcff"))  # U+DCFF is written as the byte 0xff, not UTF-8
+
+
+@st.composite
+def _trace_files(draw):
+    """The text of a trace file: a plain body with one to three odd texts
+    put in anywhere, the header and the metadata line included."""
+    lines = [",".join(TRACE_COLUMNS)] + draw(st.lists(
+        st.lists(_PLAIN_CELL, min_size=len(TRACE_COLUMNS), max_size=len(TRACE_COLUMNS))
+        .map(",".join) | st.just(""), max_size=4))
+    if draw(st.booleans()):
+        lines.insert(0, "# name=x q_d_amplitude=1.0")
+    text = "".join(line + draw(st.sampled_from(("\n", "\n", "\r\n", "\r"))) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    for _ in range(draw(st.integers(1, 3))):
+        # mostly at the edge of a cell, where the parsers' blanks differ
+        edges = [i for i in range(len(text) + 1)
+                 if text[i - 1:i] in ",\n" or text[i:i + 1] in ",\r\n"]
+        at = draw(st.sampled_from(edges) | st.integers(0, len(text)))
+        text = text[:at] + draw(_ODD_TEXT) + text[at:]
+    return text
+
+
+_HEADER = ",".join(TRACE_COLUMNS)
+_ROW = ",".join(["1.5"] * len(TRACE_COLUMNS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_trace_files())
+@example(text=f"# name=x\n{_HEADER}\n{_ROW}\n")
+@example(text=f"{_HEADER}\n")
+@example(text=f"# name=x\n{_HEADER}\n\n\n")
+@example(text=f"# name=x\n{_HEADER}\n{_ROW}\n#x\n")
+@example(text=f"# name=x\n{_HEADER}\n{_ROW}\n \n{_ROW}\n")
+@example(text=f"# name=x\r\n{_HEADER}\r\n{_ROW}\r\n{_ROW}")
+@example(text=f"# name=x\n{_HEADER}\n1.5\x0c{_ROW[3:]}\n")
+@example(text=f"# name=x\n{_HEADER}\n{_ROW}\x0c\n")
+@example(text=f"# name=x\n{_HEADER}\n1.5\x1f{_ROW[3:]}\n")
+@example(text=f"# name=x\n{_HEADER}\n1_0{_ROW[3:]}\n")
+@example(text=f"# name=x\n{_HEADER}\n\u0661{_ROW[3:]}\n")
+@example(text=f"# name=x\n{_HEADER}\n,{_ROW[4:]}\n")
+@example(text=f"# name=x\n{_HEADER}\n{_ROW},1.5\n{_ROW}\n")
+@example(text=f"# name=x\n{_HEADER}\n{_ROW}\n\udcff\n")
+def test_import_reads_what_the_per_line_loop_reads(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("bodies") / "t.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    _assert_reads_as_the_loop(path)
+
+
+def test_import_reads_in_one_numpy_parse_across_read_chunks(tmp_path, monkeypatch):
+    # rows that straddle the chunks import_trace reads, and an empty trace
+    columns = {name: np.linspace(-1.0, 1.0, 1000) ** (j + 1)
+               for j, name in enumerate(TRACE_COLUMNS)}
+    for rows in (1000, 0):
+        trace = RunTrace(columns={k: v[:rows] for k, v in columns.items()}, meta={"name": "n"})
+        path = export_trace(trace, tmp_path / f"{rows}.csv")
+        assert path.stat().st_size > 10 * _READ_CHARS or rows == 0
+        _assert_reads_as_the_loop(path)
+        with monkeypatch.context() as m:
+            m.setattr(traceio, "_parse_lines", None)  # the numpy path alone
+            back = import_trace(path)
+        _assert_columns_bit_identical(trace, back)
+        assert all(back[name].shape == (rows,) for name in TRACE_COLUMNS)
+
+
+def test_trace_io_memory_is_bounded_by_a_block_of_rows(tmp_path):
+    # tracemalloc peaks as multiples of the trace's own doubles; holding the
+    # whole text, or one Python float per cell, takes about 10x
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    trace = run_scenario(scenario_from_ini(configs / "load_step_l1ac_m1500.ini"))
+    assert len(trace) == 3000
+    array_bytes = sum(trace[name].nbytes for name in TRACE_COLUMNS)
+    path = tmp_path / "t.csv"
+    import_trace(export_trace(trace, path))  # first calls, which may import lazily
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a block of rows as Python floats and text; the file is 2.3x
+    assert peak(lambda: export_trace(trace, path)) < 1.0 * array_bytes
+    # the parsed rows and their transposed copy are 2x
+    assert peak(lambda: import_trace(path)) < 2.5 * array_bytes
 
 
 _EXTREME_CELLS = (-0.0, 5e-324, -2.2250738585072e-310, 1.7976931348623157e308,
@@ -1338,9 +1482,17 @@ def test_cli_condition_rejects_an_empty_time_constant_list(tmp_path, capsys, val
     assert not out.exists()
 
 
-def test_cli_condition_names_the_file_and_the_row_too_stiff_to_certify(tmp_path, capsys):
+@pytest.mark.parametrize("line", [
+    "filter_gain = 1e-6\n",
+    # the realization of the loop is so badly scaled that its eigenvalues
+    # leave the left half-plane, though every pole is -omega or one of C(s)
+    "[plant]\nK_f = 1e60\n",
+    "[plant]\nK_f = 1e200\n",
+    "[plant]\nK_f = 1e-200\n",
+], ids=["slow_filter", "stiff_spring", "stiffer_spring", "soft_spring"])
+def test_cli_condition_names_the_file_and_the_row_too_stiff_to_certify(tmp_path, capsys, line):
     cfgfile = tmp_path / "stiff.ini"
-    cfgfile.write_text("[condition]\nfilter_time_constants = 0.01, 0.02\nfilter_gain = 1e-6\n")
+    cfgfile.write_text("[condition]\nfilter_time_constants = 0.01, 0.02\n" + line)
     out = tmp_path / "an"
     assert main(["analyze", "condition", str(cfgfile), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
