@@ -123,7 +123,8 @@ def _cmd_run(args) -> int:
     cfg = scenario_from_ini(args.scenario)
     _, result, out_dir = _run_and_export(SuiteConfig(name=cfg.name, scenarios=(cfg,)), args)
     if not result.ok:
-        raise result.errors[cfg.name]
+        with _naming(args.scenario):  # a value only the loop's build refuses
+            raise result.errors[cfg.name]
     print(f"trace: {out_dir / f'{cfg.name}.csv'}")
     print(json.dumps(asdict(result.metrics[cfg.name])))
     return 0

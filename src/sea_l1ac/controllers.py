@@ -82,7 +82,7 @@ class DisturbanceObserver:
         if not 10.0 * params.omega <= g_ob < math.inf:
             raise ValueError(
                 "observer bandwidth g_ob must be finite and dominate the closed loop "
-                f"(g_ob={g_ob}, 10*omega={10 * params.omega:.1f})"
+                f"(g_ob={g_ob:g}, 10*omega={10 * params.omega:g})"
             )
         self._gain = g_ob * params.J_m
         self._decay = math.exp(-g_ob * dt)

@@ -13,7 +13,6 @@ import math
 import numbers
 from array import array
 from dataclasses import astuple, dataclass, field, fields, replace
-from functools import partial
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .controllers import (
     ideal_motor_side_compensation,
 )
 from .params import EnvironmentModel, PlantParams, benchmark_params
-from .plant import _link_gravity_gains, _rk4_tuple, contact_torque
+from .plant import _link_gravity_gains, _rk4_tuple, reference_disturbances
 
 
 class ConfigError(ValueError):
@@ -204,92 +203,88 @@ def _columns(rows: np.ndarray) -> dict:
     return {name: data[j] for j, name in enumerate(TRACE_COLUMNS)}
 
 
-def _reference_error(reference: ReferenceSystem, log: array, x_final,
-                     params: PlantParams, env: EnvironmentModel, gravity_gains) -> float:
+def _reference_error(reference: ReferenceSystem, disturbances, log: array, x_final) -> float:
     """max |x_r(k) - x(k)| over the four states and k = 1 .. n.
 
-    ``log`` holds one row (x, tau_dob, q_d, u_gc, g_ff1) per controller
-    step k = 0 .. n - 1 and ``x_final`` is x(n); None means the run
-    diverged in the last logged step, whose x is then x(n). The reference
-    system starts from x(0), driven by the true disturbances the log
-    implies, with the plant's own ``gravity_gains``.
+    ``log`` holds one row (x, tau_dob, q_d, u_gc, g_ff1) per step k = 0 .. n - 1
+    and ``x_final`` is x(n), or None when the last logged step diverged, whose
+    x is then x(n). x_r starts from x(0), driven by ``disturbances`` at each x(k).
     """
     steps = np.array(log).reshape(-1, 8)
     if x_final is None:
         steps, x_final = steps[:-1], steps[-1, :4]
-    n = len(steps)
-    if n == 0:
+    if len(steps) == 0:
         return 0.0
-    q, _, theta, dtheta, tau_dob, q_d, u_gc, g_ff1 = steps.T
-    tau_spring = params.K_f * (theta - q)
-    link_torque = np.fromiter(map(partial(contact_torque, env), q.tolist()), float, n)
-    if gravity_gains is not None:
-        link_torque = link_torque + gravity_gains[1] * np.sin(q)
-    u = np.zeros((n, 9))  # one input row of ReferenceSystem.step per sample
-    u[:, 0] = (tau_dob - params.f_m * dtheta - tau_spring) / params.J_m
-    u[:, 2] = -link_torque / params.J_a - g_ff1
-    u[:, 4] = q_d
-    u[:, 5] = u_gc
-    u[:, 7] = g_ff1
-    x_r = reference.run(steps[0, :4], u)
-    x = np.vstack([steps[1:, :4], x_final])
-    return float(np.max(np.abs(x_r - x)))
+    x = steps[:, :4]
+    u = np.zeros((len(steps), 9))  # one input row of ReferenceSystem.step per sample
+    u[:, 0], u[:, 2] = disturbances(x, steps[:, 4])
+    u[:, 2] -= steps[:, 7]  # the filter sees the part of sigma22 that g_ff1 leaves
+    u[:, [4, 5, 7]] = steps[:, 5:]  # q_d, u_gc, g_ff1
+    return float(np.max(np.abs(reference.run(x[0], u) - np.vstack([x[1:], x_final]))))
+
+
+def closed_loop(cfg: ScenarioConfig):
+    """``(controller, period, disturbances)`` of the loop ``cfg`` describes.
+
+    ``period(x, q_d) -> (record, tau_dob, x_next)`` is one controller period
+    from the state x: the observer's estimate tau_dob, the law's ``record``
+    (``controller.step``'s tuple, tau_m first), then ``substeps`` observer
+    updates and RK4 steps of h = T_s / substeps under the held tau_m.
+    ``x_next`` is None once a plant step's state reaches ``STATE_BOUND`` in
+    norm or stops being a number. ``disturbances(x, tau_dob)`` is
+    ``plant.reference_disturbances`` of this plant and environment.
+    """
+    params, env = cfg.params, cfg.make_environment()
+    gains = _link_gravity_gains(params, cfg.mass, cfg.gravity_on)
+    h = cfg.T_s / cfg.substeps
+    if cfg.ideal_dob:  # the observer's zero-lag limit, which has no state to advance
+        estimate, advance = (lambda x: ideal_motor_side_compensation(x, params)), (lambda *_: None)
+    else:
+        dob = DisturbanceObserver(cfg.g_ob, params, h)
+        estimate, advance = (lambda x: dob.estimate(x[3])), dob.advance
+    controller = (
+        RrcController(params, gravity_comp=cfg.gravity_on, torque_limit=cfg.torque_limit)
+        if cfg.controller == "rrc" else
+        L1Controller(params, L1Config(T_s=cfg.T_s, T=cfg.T, K_a=cfg.K_a),
+                     gravity_comp=cfg.gravity_feedforward, torque_limit=cfg.torque_limit))
+    control, norm, bound, substeps = controller.step, math.hypot, STATE_BOUND, range(cfg.substeps)
+
+    def period(x, q_d):
+        tau_dob = estimate(x)
+        record = control(x, q_d, tau_dob)
+        tau_m = record[0]
+        for _ in substeps:
+            advance(tau_m, x[3])
+            x = _rk4_tuple(x, tau_m, h, params, env, gains)
+            if not norm(*x) < bound:  # nan fails too
+                return record, tau_dob, None
+        return record, tau_dob, x
+
+    return controller, period, lambda x, tau_dob: reference_disturbances(
+        x, tau_dob, params, env, gains)
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunTrace:
     """Execute one scenario and return its trace.
 
-    The controller runs once per T_s; the plant (and the disturbance
-    observer, which needs the fastest rate available) advance ``substeps``
-    times per controller step. Raises SimulationDivergence with the partial
-    trace attached once the state's norm reaches ``STATE_BOUND`` or stops
-    being a number.
-
-    With ``track_reference`` the loop records each step's state and the
-    reference inputs; the reference system then runs once over them after
-    the loop (its state never feeds back), and ``aux["ref_err_max"]`` is
-    max |x_r(k) - x(k)| at the sample instants k T_s, k = 1 .. n, where
-    x(n) is the state after the last step.
+    Loops ``closed_loop(cfg)``'s period from rest under the step command and
+    records every ``decimate``-th period's row. Once a period returns no
+    state it raises SimulationDivergence, which gives that period's start
+    time and carries the partial trace, whose last row is that period's.
+    With ``track_reference`` the loop logs each period's state and reference
+    inputs, and ``aux["ref_err_max"]`` is max |x_r(k) - x(k)|, k = 1 .. n,
+    over the sample instants k T_s (README, "Reference-system error").
     """
-    params, env = cfg.params, cfg.make_environment()
-    h = cfg.T_s / cfg.substeps
-
-    dob = None
-    if not cfg.ideal_dob:
-        dob = DisturbanceObserver(cfg.g_ob, params, h)
-
-    if cfg.controller == "rrc":
-        controller = RrcController(params, gravity_comp=cfg.gravity_on,
-                                   torque_limit=cfg.torque_limit)
-    else:
-        controller = L1Controller(
-            params,
-            L1Config(T_s=cfg.T_s, T=cfg.T, K_a=cfg.K_a),
-            gravity_comp=cfg.gravity_feedforward,
-            torque_limit=cfg.torque_limit,
-        )
-
+    controller, period, disturbances = closed_loop(cfg)
     reference = ReferenceSystem(controller) if cfg.track_reference else None
-
-    meta = {
-        "name": cfg.name,
-        "controller": cfg.controller,
-        "q_d_amplitude": cfg.q_d_amplitude,
-        "q_d_start": cfg.q_d_start,
-        "mass": cfg.mass,
-        "contact_stiffness": cfg.contact_stiffness,
-        "contact_position": cfg.contact_position,
-        "K_t": params.K_t,
-        "omega": params.omega,
-    }
+    meta = {key: getattr(cfg, key) for key in ("name", "controller", "q_d_amplitude", "q_d_start",
+                                               "mass", "contact_stiffness", "contact_position")}
+    meta.update(K_t=cfg.params.K_t, omega=cfg.params.omega)
 
     # the loop reads locals only; the step command q_d switches on at
     # q_d_start, 1e-12 s early so that a start on the sample grid is met
-    T_s, decimate, substeps, K_t = cfg.T_s, cfg.decimate, cfg.substeps, params.K_t
+    T_s, decimate, K_t = cfg.T_s, cfg.decimate, cfg.params.K_t
     amplitude, switch_on = cfg.q_d_amplitude, cfg.q_d_start - 1e-12
-    ideal_dob, tracking = cfg.ideal_dob, reference is not None
-    gravity_gains = _link_gravity_gains(params, cfg.mass, cfg.gravity_on)
-    control, norm, bound = controller.step, math.hypot, STATE_BOUND
     rows, log = array("d"), array("d")  # trace rows; reference log, every step
     record_row, record_step = rows.extend, log.extend
     xtilde_max = 0.0
@@ -297,9 +292,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
     def finish(x_final):
         # the trace so far; x_final is x(n), or None after a divergence
         aux = {"xtilde_max": xtilde_max}
-        if tracking:
-            aux["ref_err_max"] = _reference_error(reference, log, x_final, params, env,
-                                                  gravity_gains)
+        if reference is not None:
+            aux["ref_err_max"] = _reference_error(reference, disturbances, log, x_final)
         return RunTrace(columns=_columns(np.frombuffer(rows).reshape(-1, len(TRACE_COLUMNS))),
                         meta=meta, aux=aux)
 
@@ -307,27 +301,17 @@ def run_scenario(cfg: ScenarioConfig) -> RunTrace:
     for i in range(int(round(cfg.duration / T_s))):
         t = i * T_s
         q_d = amplitude if t >= switch_on else 0.0
-        if ideal_dob:
-            tau_dob = ideal_motor_side_compensation(x, params)
-        else:
-            tau_dob = dob.estimate(x[3])
-        tau_m, u1, u2, xtilde_inf, sigma22_hat, u_gc, g_ff1 = control(x, q_d, tau_dob)
-        if tracking:
+        (tau_m, u1, u2, xtilde_inf, sigma22_hat, u_gc, g_ff1), tau_dob, x_next = period(x, q_d)
+        if reference is not None:
             record_step((*x, tau_dob, q_d, u_gc, g_ff1))
         if xtilde_inf > xtilde_max:
             xtilde_max = xtilde_inf
         if i % decimate == 0:
             record_row((t, *x, tau_m, tau_m / K_t, sigma22_hat, xtilde_inf, u1, u2))
-
-        for _ in range(substeps):
-            if dob is not None:
-                dob.advance(tau_m, x[3])
-            x = _rk4_tuple(x, tau_m, h, params, env, gravity_gains)
-            if not norm(*x) < bound:  # nan fails too
-                raise SimulationDivergence(
-                    f"state diverged past |x| = {STATE_BOUND:g} at t={t:.4f} s "
-                    f"in scenario {cfg.name!r}", finish(None)
-                )
+        if x_next is None:
+            raise SimulationDivergence(f"state diverged past |x| = {STATE_BOUND:g} at t={t:.4f} s "
+                                       f"in scenario {cfg.name!r}", finish(None))
+        x = x_next
     return finish(x)
 
 

@@ -7,17 +7,18 @@ carries viscous friction; both couple through the torsional spring:
     J_m theta'' = tau_m - f_m theta' - K_f (theta - q)
 
 G(q) = g_0 sin q is the nominal-mass gravity and tau_dis = (g - g_0) sin q
-plus ``contact_torque`` is the load disturbance, with (g_0, g) the nominal
-and scenario load gains ``_link_gravity_gains(params, mass, gravity_on)``
-returns (None with gravity off). The one plant API is ``_rk4_tuple(x,
-tau_m, dt, params, env, gains)``: one classical RK4 step of x = (q, q',
-theta, theta') under ``_derivative``, with the gains computed once per
-run. It leaves the finiteness check of the result to its caller.
+plus ``contact_torque`` is the load disturbance, with (g_0, g) the gains
+``_link_gravity_gains(params, mass, gravity_on)`` returns once per run (None
+with gravity off). ``_rk4_tuple`` is one RK4 step of x = (q, q', theta,
+theta') and leaves the finiteness check to its caller;
+``reference_disturbances`` gives the true disturbances at sample instants.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .params import EnvironmentModel, PlantParams
 
@@ -95,3 +96,16 @@ def _rk4_tuple(x, tau_m, dt, params, env, gains):
         th + c * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
         dth + c * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]),
     )
+
+
+def reference_disturbances(x, tau_dob, params, env, gains):
+    """The reference system's true inputs (sigma1, sigma22) at the states in
+    the rows of the (n, 4) array ``x``, as accelerations: the motor-side
+    residual (tau_dob - f_m theta' - K_f (theta - q)) / J_m that the observer's
+    ``tau_dob`` leaves, and the link load -(contact + g sin q) / J_a, g = gains[1]."""
+    q, _, theta, dtheta = x.T
+    link = np.array([contact_torque(env, v) for v in q.tolist()])
+    if gains is not None:
+        link = link + gains[1] * np.sin(q)
+    sigma1 = (tau_dob - params.f_m * dtheta - params.K_f * (theta - q)) / params.J_m
+    return sigma1, -link / params.J_a

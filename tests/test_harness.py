@@ -882,6 +882,33 @@ def test_divergence_keeps_the_reference_error_of_the_steps_done():
     assert partial.aux["ref_err_max"] >= ref_err(len(partial) - 3) > 1e-3 * STATE_BOUND
 
 
+def test_divergence_inside_a_period_of_substeps_reports_that_period():
+    # the baseline at T_s = 16 ms in four substeps: h = 4 ms with g_ob = 500,
+    # where the sampled loop is unstable, so the bound is met in some substep
+    cfg = _quick(name="substeps", controller="rrc", duration=3.0, T_s=0.016, substeps=4)
+    with pytest.raises(SimulationDivergence) as exc_info:
+        run_scenario(cfg)
+    partial = exc_info.value.partial_trace
+    start = (len(partial) - 1) * cfg.T_s  # the diverging period's start
+    assert f"at t={start:.4f} s" in str(exc_info.value)
+    assert partial["t_s"][-1] == start and len(partial) < 3.0 / cfg.T_s
+    # a run of the periods before it finishes, with the same rows bit for bit
+    done = run_scenario(cfg.with_overrides(duration=(len(partial) - 1) * cfg.T_s))
+    assert len(done) == len(partial) - 1
+    for name in TRACE_COLUMNS:
+        assert done[name].tobytes() == partial[name][:-1].tobytes(), name
+
+
+def test_harness_reads_no_plant_constant():
+    # the plant's equations, the true disturbances included, live in plant.py;
+    # the harness wires the loop and reads the plant only through its functions
+    tree = ast.parse(Path(sea_l1ac.harness.__file__).read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    read |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert not read & {"K_f", "f_m", "J_m", "J_a", "G_0"}
+
+
 # ---------------------------------------------------------------------------
 # configuration files
 # ---------------------------------------------------------------------------
@@ -1418,24 +1445,30 @@ def test_cli_io_error_exits_4_and_names_the_path(tmp_path, capsys, command):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("tuning, category, code", [
-    ("filter_time_constant = 0.0005", "config", 2),  # T below T_s
-    ("filter_gain = -1.0", "config", 2),
-    ("filter_gain = 100.0", "config", 2),  # K_a T >= 8/9: C(s) unstable
-    ("observer_bandwidth = 50.0", "config", 2),  # below 10 omega
-    ("sample_period = 0.008", "numeric", 3),  # the loop diverges
-], ids=["T", "K_a", "K_a-T", "g_ob", "diverges"])
+@pytest.mark.parametrize("tuning, category, code, shown", [
+    ("filter_time_constant = 0.0005", "config", 2, "T must exceed the period T_s"),
+    ("filter_gain = -1.0", "config", 2, "K_a must be positive"),
+    ("filter_gain = 100.0", "config", 2, "C(s) is unstable"),  # K_a T >= 8/9
+    ("observer_bandwidth = 50.0", "config", 2, "(g_ob=50, 10*omega=190.71)"),  # below 10 omega
+    # 10 omega printed with :g, not as the 24 digits of its float
+    ("[plant]\nK_f = 2e43", "config", 2, "(g_ob=500, 10*omega=7.61387e+22)"),
+    ("sample_period = 0.008", "numeric", 3, "past |x|"),  # the loop diverges
+], ids=["T", "K_a", "K_a-T", "g_ob", "K_f", "diverges"])
 def test_cli_suite_reports_a_failed_scenario_as_run_does(tmp_path, capsys, tuning, category,
-                                                           code):
+                                                           code, shown):
     (tmp_path / "one.ini").write_text(
         f"[scenario]\nname = one\ncontroller = l1ac\nduration = 6.0\n\n[tuning]\n{tuning}\n")
     manifest = tmp_path / "suite.ini"
     manifest.write_text("[suite]\nname = s\nscenarios = one.ini\n")
     for argv in (["run", str(tmp_path / "one.ini")], ["suite", str(manifest)]):
         assert main([*argv, "--out-dir", str(tmp_path / "out")]) == code
-        assert f'"error": "{category}"' in capsys.readouterr().err
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert error["error"] == category
         if argv[0] == "run":  # only the diverged loop writes a file: its partial trace
             assert (tmp_path / "out").exists() == (category == "numeric")
+            # a value only the run refuses is named by its file, as the loader's are
+            named = error["detail"].startswith(f"{tmp_path / 'one.ini'}: ")
+            assert named == (category == "config") and shown in error["detail"]
     # with both kinds of failure the suite reports the graver one
     (tmp_path / "two.ini").write_text(
         "[scenario]\nname = two\n\n[tuning]\nfilter_time_constant = 0.0005\n")

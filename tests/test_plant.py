@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sea_l1ac import EnvironmentModel, contact_torque, gravity_gain
-from sea_l1ac.plant import _derivative, _link_gravity_gains, _rk4_tuple
+from sea_l1ac.plant import _derivative, _link_gravity_gains, _rk4_tuple, reference_disturbances
 
 FREE = EnvironmentModel()
 
@@ -177,3 +177,22 @@ def test_integrator_signals_blowup(params, gravity_on):
     # with gravity on, an RK4 stage takes sin of q = inf
     out = _step((0.0, 0.0, 1e307, 0.0), 0.0, 1e-3, params, gravity_on=gravity_on)
     assert not all(map(math.isfinite, out))
+
+
+@pytest.mark.parametrize("env", [FREE, EnvironmentModel(K_e=500.0, q_0=0.2),
+                                 EnvironmentModel(K_e=500.0, q_0=0.2, bilateral=True)],
+                         ids=["free", "wall", "bilateral"])
+@pytest.mark.parametrize("gravity_on", [False, True])
+def test_reference_disturbances_are_what_the_derivative_sees(params, env, gravity_on):
+    # with tau_dob as the motor torque, sigma1 is the motor acceleration the
+    # plant's derivative gives, to the bit; sigma22 is the link acceleration
+    # less the spring's share, to rounding
+    x = np.random.default_rng(0).uniform(-2.0, 2.0, (200, 4))
+    tau_dob = np.linspace(-30.0, 30.0, len(x))
+    gains = _link_gravity_gains(params, 2.25, gravity_on)
+    sigma1, sigma22 = reference_disturbances(x, tau_dob, params, env, gains)
+    rhs = np.array([_derivative(*row, tau, params, env, gains)
+                    for row, tau in zip(x.tolist(), tau_dob.tolist())])
+    assert sigma1.tobytes() == rhs[:, 3].tobytes()
+    spring = params.K_f * (x[:, 2] - x[:, 0]) / params.J_a
+    assert np.allclose(sigma22, rhs[:, 1] - spring, rtol=0.0, atol=1e-9)
